@@ -30,6 +30,22 @@ fn bench_speculation(c: &mut Criterion) {
             })
         });
     }
+    // The beams above reuse one context, so after the first iteration
+    // every expansion is a memo hit. Serving traffic mostly misses (~85%
+    // of lookups on `paper-mix`); a fresh stream seed per iteration makes
+    // every expansion compute its distributions, as in real traffic.
+    group.bench_function("beam_d8_w4_fresh", |b| {
+        let mut stream = 0u64;
+        b.iter(|| {
+            stream += 1;
+            let ctx = LmContext::new(stream, ContentClass::Chat, &tokens);
+            black_box(CandidateTree::speculate(
+                pair.draft(),
+                &ctx,
+                SpecParams::new(8, 4),
+            ))
+        })
+    });
     group.finish();
 }
 
@@ -74,6 +90,10 @@ fn bench_dist_cache(c: &mut Criterion) {
     group.bench_function("target_cold", |b| {
         let mut stream = 0u64;
         let pair = ModelPair::calibrated(7);
+        // Slot tables are allocated on first insert: do that untimed.
+        let _ = pair
+            .target()
+            .next_dist_arc(&LmContext::new(0, ContentClass::Chat, &tokens));
         b.iter(|| {
             stream += 1; // fresh stream seed => guaranteed memo miss
             let ctx = LmContext::new(stream, ContentClass::Chat, &tokens);
@@ -88,6 +108,9 @@ fn bench_dist_cache(c: &mut Criterion) {
     });
     group.bench_function("draft_top4_fused", |b| {
         let pair = ModelPair::calibrated(7);
+        let _ = pair
+            .target()
+            .next_dist_arc(&LmContext::new(0, ContentClass::Chat, &tokens));
         let mut stream = 0u64;
         let mut scratch = Vec::new();
         let mut out = Vec::new();

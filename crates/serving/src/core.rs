@@ -56,7 +56,14 @@ pub struct EngineCore {
 
 impl EngineCore {
     /// Creates a core for `config` with a full KV pool.
-    pub fn new(config: SystemConfig) -> Self {
+    ///
+    /// The core computes through its own engine view of the config's
+    /// model pair ([`simllm::ModelPair::for_engine`]): configs are
+    /// routinely cloned into several engines, and a plain clone would
+    /// report every sibling's distribution-cache lookups as its own, or
+    /// start on a cache warmed by an engine long gone.
+    pub fn new(mut config: SystemConfig) -> Self {
+        config.pair = config.pair.for_engine();
         let blocks = config.block_manager();
         let prefix = config
             .prefix_cache_tokens

@@ -122,21 +122,29 @@ impl SparseDist {
         }
     }
 
-    /// Raw constructor for callers that already hold normalized,
-    /// descending-sorted head entries and a final tail mass (the fused
-    /// draft-blend path). Invariants are debug-checked via `validate`.
-    pub(crate) fn from_parts(
-        entries: Vec<(TokenId, f64)>,
-        tail_mass: f64,
+    /// A placeholder with no head, for a memo slot about to be filled
+    /// by [`SparseDist::refill`]. Not a valid distribution on its own.
+    pub(crate) fn unfilled() -> Self {
+        Self {
+            entries: Vec::new(),
+            tail_mass: 0.0,
+            vocab_size: 0,
+        }
+    }
+
+    /// Rebuilds `self` in place, keeping the head's allocation: `fill`
+    /// pushes normalized head entries, already in head order, into the
+    /// cleared head and returns the tail mass (the kernel's miss paths).
+    /// Invariants are debug-checked via `validate`.
+    pub(crate) fn refill(
+        &mut self,
         vocab_size: u32,
-    ) -> Self {
-        let dist = Self {
-            entries,
-            tail_mass,
-            vocab_size,
-        };
-        debug_assert_eq!(dist.validate(), Ok(()));
-        dist
+        fill: impl FnOnce(&mut Vec<(TokenId, f64)>) -> f64,
+    ) {
+        self.entries.clear();
+        self.tail_mass = fill(&mut self.entries);
+        self.vocab_size = vocab_size;
+        debug_assert_eq!(self.validate(), Ok(()));
     }
 
     fn sort_entries(entries: &mut [(TokenId, f64)]) {

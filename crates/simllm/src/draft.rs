@@ -1,10 +1,11 @@
 //! The divergence-controlled draft (speculating) language model.
 
 use crate::dist::SparseDist;
+use crate::kernel;
 use crate::lm::{Lm, LmContext};
-use crate::memo::{DistMemo, MemoStats};
+use crate::memo::{DistMemo, LookupCounts, MemoStats};
 use crate::target::{TargetLm, TargetLmConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The draft model: a perturbed view of the target model.
 ///
@@ -25,40 +26,35 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct DraftLm {
     target: TargetLm,
-    noise: TargetLm,
+    /// The noise model: a hash model of its own seed with a flatter head,
+    /// never consulted on its own, so it needs no memo.
+    noise: TargetLmConfig,
     /// Base divergence δ before per-class scaling.
     divergence: f64,
-    /// Memo of the *blended* draft distribution (shared across clones).
-    /// A hit skips the target lookup, the noise lookup and the mixture
-    /// entirely; the inner `target`'s own memo is shared with the model
-    /// pair's target, so verification reuses draft-pass work.
+    /// Memo of the *blended* draft distribution (shared across clones),
+    /// read by [`Lm::next_dist_arc`]. Beam search never reads it: its
+    /// fused top-`w` path consults only the inner `target`'s memo, which
+    /// is shared with the model pair's target, so verification reuses
+    /// draft-pass work.
     memo: Arc<DistMemo>,
-    /// Reusable buffers of the fused top-`w` path (never cloned; a clone
-    /// starts with cold buffers).
-    scratch: std::sync::Mutex<TopWScratch>,
+    /// This model's (and its clones') own lookups in `memo`.
+    counts: Arc<LookupCounts>,
+    /// Reusable buffers of the fused kernel (never cloned; a clone starts
+    /// with cold buffers).
+    scratch: Mutex<kernel::Scratch>,
 }
 
 impl Clone for DraftLm {
     fn clone(&self) -> Self {
         Self {
             target: self.target.clone(),
-            noise: self.noise.clone(),
+            noise: self.noise,
             divergence: self.divergence,
             memo: Arc::clone(&self.memo),
-            scratch: std::sync::Mutex::new(TopWScratch::default()),
+            counts: Arc::clone(&self.counts),
+            scratch: Mutex::default(),
         }
     }
-}
-
-/// Scratch buffers of [`DraftLm::top_w_extended`]'s fused blend.
-#[derive(Debug, Default)]
-struct TopWScratch {
-    /// Target head entries re-sorted by token id (merge order).
-    p_sorted: Vec<(crate::TokenId, f64)>,
-    /// Noise head probabilities, token-sorted.
-    noise: Vec<(crate::TokenId, f64)>,
-    /// Blended union head (weights, then normalized probabilities).
-    merged: Vec<(crate::TokenId, f64)>,
 }
 
 impl DraftLm {
@@ -80,10 +76,11 @@ impl DraftLm {
             // Cloning shares the target's distribution memo: contexts the
             // draft pass evaluates are cache hits for verification.
             target: target.clone(),
-            noise: TargetLm::new(noise_config),
+            noise: noise_config,
             divergence,
             memo: DistMemo::shared(),
-            scratch: std::sync::Mutex::new(TopWScratch::default()),
+            counts: Arc::default(),
+            scratch: Mutex::default(),
         }
     }
 
@@ -92,50 +89,15 @@ impl DraftLm {
         self.divergence
     }
 
-    /// Hit/miss counters of the blended-draft distribution memo. (The
-    /// inner target model's memo is shared with the pair's target and
-    /// reported there; the noise model is fused into the blend and never
-    /// caches separately.)
+    /// Hit/miss counters of this model's blended-draft memo lookups.
+    /// (The inner target model's lookups count with the pair's target.)
     pub fn cache_stats(&self) -> MemoStats {
-        self.memo.stats()
+        self.counts.stats()
     }
 
-    /// The miss path of the draft memo: the mixture
-    /// `(1 − δ)·p + δ·noise`, fused so the noise model's head never
-    /// becomes an intermediate [`SparseDist`].
-    ///
-    /// Bit-identical to `p.blend(&noise_dist, delta)`: probabilities come
-    /// from the same token-sorted construction, membership tests match
-    /// `head_prob(t) == 0` exactly (head probabilities are strictly
-    /// positive), and the final constructor is the order-insensitive
-    /// distinct-weights path.
-    fn compute_blend(&self, ctx: &LmContext<'_>, delta: f64) -> SparseDist {
-        let p = self.target.next_dist_arc(ctx);
-        let hn = self.noise.dist_key(ctx);
-        let (noise_probs, noise_tail) = self.noise.head_probs_token_sorted(hn, ctx.class);
-        let mut weights: Vec<(crate::TokenId, f64)> =
-            Vec::with_capacity(p.entries().len() + noise_probs.len());
-        // Noise heads are at most a few dozen entries: a u64 marks which
-        // of them also appear in the target head.
-        debug_assert!(noise_probs.len() <= 64, "noise head exceeds marker");
-        let mut in_target = 0u64;
-        for &(t, pp) in p.entries() {
-            let q = match noise_probs.binary_search_by_key(&t, |e| e.0) {
-                Ok(i) => {
-                    in_target |= 1 << i;
-                    noise_probs[i].1
-                }
-                Err(_) => 0.0,
-            };
-            weights.push((t, (1.0 - delta) * pp + delta * q));
-        }
-        for (i, &(t, q)) in noise_probs.iter().enumerate() {
-            if in_target & (1 << i) == 0 {
-                weights.push((t, delta * q));
-            }
-        }
-        let tail = (1.0 - delta) * p.tail_mass() + delta * noise_tail;
-        SparseDist::from_distinct_weights(weights, tail, self.target.vocab_size())
+    /// The blended-draft distribution memo.
+    pub fn cache(&self) -> &DistMemo {
+        &self.memo
     }
 
     /// Effective divergence for a content class, clamped to [0, 1].
@@ -161,28 +123,19 @@ impl Lm for DraftLm {
         // ctx.hash() already folds in class and stream; the salt keeps the
         // key space disjoint from the raw context hash.
         let key = crate::hash::mix64(ctx.hash() ^ 0xD4AF_7B1E_57D1_57D1);
-        self.memo.get_or_compute(key, || {
-            if delta >= 1.0 || self.noise.config().head_width > 64 {
-                // Degenerate mixtures (blend must drop the zero-weight
-                // target head) and heads too wide for the fused path's
-                // 64-bit membership marker take the general route.
-                let p = self.target.next_dist(ctx);
-                let noise = self.noise.next_dist(ctx);
-                p.blend(&noise, delta)
-            } else {
-                self.compute_blend(ctx, delta)
-            }
-        })
+        let (dist, hit) = self.memo.get_or_fill(key, |dist| {
+            let mut s = self.scratch.lock().expect("draft scratch lock");
+            s.blend_into(&self.target, &self.noise, ctx, delta, dist);
+        });
+        self.counts.record(hit);
+        dist
     }
 
-    /// Fused top-`w` of the blended draft head: beam search needs only
-    /// the `w` (≤ beam width, a handful) most likely tokens, so this
-    /// merges the target head with the noise head **in token order**
-    /// (reproducing the exact normalization sum of the full blend),
-    /// normalizes, and partially selects — no full-head sort, no
-    /// intermediate distribution, no allocations once the scratch is
-    /// warm. Values and order are bit-identical to
-    /// `next_dist_extended(..).top_k(w)`.
+    /// Fused top-`w` of the blended draft head through the allocation-free
+    /// kernel (module `kernel`): beam search needs only the `w` (≤ beam
+    /// width, a handful) most likely tokens, so the blended head is never
+    /// sorted or materialized as a distribution. Values and order are
+    /// bit-identical to `next_dist_extended(..).top_k(w)`.
     fn top_w_extended(
         &self,
         ctx: &LmContext<'_>,
@@ -191,15 +144,10 @@ impl Lm for DraftLm {
         scratch: &mut Vec<crate::TokenId>,
         out: &mut Vec<(crate::TokenId, f64)>,
     ) {
-        if w == 0 {
-            out.clear();
-            return;
-        }
         let delta = self.effective_divergence(ctx.class);
-        // Degenerate mixtures — and heads too wide for the 64-bit
-        // membership marker below — take the exact full-distribution
-        // path.
-        if delta <= 0.0 || delta >= 1.0 || self.noise.config().head_width > 64 {
+        if w == 0 || delta == 0.0 || delta >= 1.0 {
+            // No mixture (δ = 0 is the target itself) or a degenerate one:
+            // the full distribution, through the memos.
             let dist = self.next_dist_extended_arc(ctx, extra, scratch);
             out.clear();
             out.extend_from_slice(dist.top_k(w));
@@ -209,71 +157,8 @@ impl Lm for DraftLm {
         scratch.extend_from_slice(ctx.window());
         scratch.extend_from_slice(extra);
         let ext = LmContext::new(ctx.stream_seed, ctx.class, scratch);
-
-        // Target head through the shared memo (verification reuses it).
-        let p = self.target.next_dist_arc(&ext);
         let mut s = self.scratch.lock().expect("draft scratch lock");
-        let s = &mut *s;
-        s.p_sorted.clear();
-        s.p_sorted.extend_from_slice(p.entries());
-        s.p_sorted.sort_unstable_by_key(|&(t, _)| t);
-        // Noise head, computed straight into token order (never cached:
-        // it exists only to perturb this one blend).
-        let hn = self.noise.dist_key(&ext);
-        let noise_tail = self
-            .noise
-            .head_probs_token_sorted_into(hn, ext.class, &mut s.noise);
-
-        // Token-ordered merge of the union head, accumulating the
-        // normalization sum in exactly the order `from_distinct_weights`
-        // would (token-ascending).
-        s.merged.clear();
-        let mut head = 0.0f64;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < s.p_sorted.len() || j < s.noise.len() {
-            let weight = match (s.p_sorted.get(i), s.noise.get(j)) {
-                (Some(&(tp, pp)), Some(&(tn, _))) if tp < tn => {
-                    i += 1;
-                    (tp, (1.0 - delta) * pp + delta * 0.0)
-                }
-                (Some(&(tp, pp)), Some(&(tn, qn))) if tp == tn => {
-                    i += 1;
-                    j += 1;
-                    (tp, (1.0 - delta) * pp + delta * qn)
-                }
-                (Some(_), Some(&(tn, qn))) | (None, Some(&(tn, qn))) => {
-                    j += 1;
-                    (tn, delta * qn)
-                }
-                (Some(&(tp, pp)), None) => {
-                    i += 1;
-                    (tp, (1.0 - delta) * pp + delta * 0.0)
-                }
-                (None, None) => unreachable!("loop condition"),
-            };
-            head += weight.1;
-            s.merged.push(weight);
-        }
-        let tail = (1.0 - delta) * p.tail_mass() + delta * noise_tail;
-        let total = head + tail;
-        for e in s.merged.iter_mut() {
-            e.1 /= total;
-        }
-        // Top-w on final probabilities with the head comparator of
-        // `SparseDist` (prob desc, token asc): partial selection plus a
-        // tiny sort reproduces `top_k(w)` exactly.
-        let cmp = |a: &(crate::TokenId, f64), b: &(crate::TokenId, f64)| {
-            b.1.partial_cmp(&a.1)
-                .expect("finite probs")
-                .then_with(|| a.0.cmp(&b.0))
-        };
-        if s.merged.len() > w && w > 0 {
-            s.merged.select_nth_unstable_by(w - 1, cmp);
-            s.merged.truncate(w);
-        }
-        s.merged.sort_unstable_by(cmp);
-        out.clear();
-        out.extend_from_slice(&s.merged);
+        s.top_w(&self.target, &self.noise, &ext, delta, w, out);
     }
 }
 
@@ -379,9 +264,9 @@ mod tests {
 
     #[test]
     fn wide_heads_take_the_exact_general_blend_path() {
-        // Heads wider than the fused path's 64-bit membership marker must
-        // fall back to the general blend — valid, and consistent between
-        // the full distribution and the fused top-w.
+        // Heads wider than 64 entries (the limit of an earlier fused
+        // path) must stay exact: valid, and consistent between the full
+        // distribution and the fused top-w.
         let mut config = crate::TargetLmConfig::default_with_seed(3);
         config.head_width = 80;
         let t = TargetLm::new(config);

@@ -24,6 +24,9 @@
 //! * [`lm`] — the [`lm::Lm`] trait, decoding contexts and content classes.
 //! * [`target`] — the hash-seeded target model.
 //! * [`draft`] — the divergence-controlled draft model.
+//! * [`memo`] — the distribution caches and their per-engine counters.
+//! * `kernel` (internal) — the allocation-free draft-expansion kernel both
+//!   models compute through, and its bit-identity argument.
 //! * [`sampler`] — seeded sampling strategies (greedy, temperature, top-k).
 //! * [`calib`] — empirical acceptance-rate estimation used for calibration.
 //!
@@ -50,6 +53,7 @@ pub mod calib;
 pub mod dist;
 pub mod draft;
 pub mod hash;
+mod kernel;
 pub mod lm;
 pub mod memo;
 pub mod sampler;
@@ -66,6 +70,8 @@ pub use sampler::{sample_seeded, Sampler, SamplingMode};
 pub use target::{TargetLm, TargetLmConfig};
 pub use vocab::{TokenId, Vocab, BOS_TOKEN, EOS_TOKEN};
 
+use std::sync::{Arc, Mutex, Weak};
+
 /// A matched (target, draft) model pair sharing one vocabulary.
 ///
 /// Mirrors the paper's deployment setting: the draft model is the smallest
@@ -77,6 +83,9 @@ pub use vocab::{TokenId, Vocab, BOS_TOKEN, EOS_TOKEN};
 pub struct ModelPair {
     target: TargetLm,
     draft: DraftLm,
+    /// The target memo of the live engines built from this pair and its
+    /// clones ([`ModelPair::for_engine`]); dead once the last one drops.
+    engine_memo: Arc<Mutex<Weak<DistMemo>>>,
 }
 
 impl ModelPair {
@@ -84,7 +93,11 @@ impl ModelPair {
     pub fn new(config: TargetLmConfig, divergence: f64) -> Self {
         let target = TargetLm::new(config);
         let draft = DraftLm::from_target(&target, divergence);
-        Self { target, draft }
+        Self {
+            target,
+            draft,
+            engine_memo: Arc::default(),
+        }
     }
 
     /// Creates the default calibrated pair used across experiments.
@@ -111,10 +124,39 @@ impl ModelPair {
         self.target.vocab_size()
     }
 
-    /// Aggregated hit/miss counters of every distribution memo in the
-    /// pair: the (shared) target cache, the blended-draft cache and the
-    /// draft's noise cache. Engines surface the resulting hit rate in
-    /// their per-replica stats.
+    /// The pair a serving engine computes through (`EngineCore::new`
+    /// calls this).
+    ///
+    /// Cloning a pair shares its memos *and* its counters, and configs
+    /// are routinely cloned into several engines. An engine's pair
+    /// instead counts only its own lookups, so per-engine reports never
+    /// include a sibling's work, and its draft-blend memo is its own.
+    /// The target memo is shared by the engines built from this
+    /// pair and its clones *while any of them is alive* — the replicas of
+    /// one deployment keep one table between them, as much memory as a
+    /// single engine's — and an engine built after they are all gone
+    /// starts from a fresh, cold memo.
+    pub fn for_engine(&self) -> Self {
+        let memo = {
+            let mut live = self.engine_memo.lock().expect("engine memo lock");
+            live.upgrade().unwrap_or_else(|| {
+                let memo = DistMemo::shared();
+                *live = Arc::downgrade(&memo);
+                memo
+            })
+        };
+        let target = TargetLm::with_memo(*self.target.config(), memo);
+        let draft = DraftLm::from_target(&target, self.draft.divergence());
+        Self {
+            target,
+            draft,
+            engine_memo: Arc::clone(&self.engine_memo),
+        }
+    }
+
+    /// Aggregated hit/miss counters of the pair's distribution memos: the
+    /// (shared) target cache and the blended-draft cache. Engines surface
+    /// the resulting hit rate in their per-replica stats.
     pub fn dist_cache_stats(&self) -> MemoStats {
         // The draft's inner target shares the target's memo (one Arc), so
         // counting `self.target` once covers both consumers.
@@ -143,6 +185,29 @@ mod tests {
         let ctx = LmContext::new(11, ContentClass::Chat, &tokens);
         assert_eq!(a.target().next_dist(&ctx), b.target().next_dist(&ctx));
         assert_eq!(a.draft().next_dist(&ctx), b.draft().next_dist(&ctx));
+    }
+
+    #[test]
+    fn engine_pairs_share_a_live_memo_but_count_their_own_lookups() {
+        let pair = ModelPair::calibrated(9);
+        let tokens = vec![TokenId(3), TokenId(100), TokenId(7)];
+        let ctx = LmContext::new(11, ContentClass::Chat, &tokens);
+        let (a, b) = (pair.for_engine(), pair.clone().for_engine());
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        a.draft()
+            .top_w_extended(&ctx, &[], 4, &mut scratch, &mut out);
+        // The draft's expansion counts as its own engine's target lookup ...
+        assert_eq!(a.dist_cache_stats(), MemoStats { hits: 0, misses: 1 });
+        // ... and filled the memo the live sibling shares.
+        assert_eq!(b.target().next_dist(&ctx), pair.target().next_dist(&ctx));
+        assert_eq!(b.dist_cache_stats(), MemoStats { hits: 1, misses: 0 });
+        assert_eq!(a.dist_cache_stats(), MemoStats { hits: 0, misses: 1 });
+        // Once both engines are gone, the next one starts cold.
+        drop((a, b));
+        let c = pair.for_engine();
+        c.target().next_dist(&ctx);
+        assert_eq!(c.dist_cache_stats(), MemoStats { hits: 0, misses: 1 });
+        assert!(!c.draft().cache().has_table());
     }
 
     #[test]

@@ -11,9 +11,14 @@
 //! The memo lives behind an `Arc`, so cloning a model **shares** its cache
 //! — in particular [`crate::DraftLm::from_target`] clones the target, and
 //! the verification pass then hits the distributions the draft pass
-//! already computed. Interior mutability uses a `Mutex` (uncontended in
-//! practice: one engine steps on one thread at a time) so models stay
-//! `Send + Sync` for parallel replica stepping.
+//! already computed. Serving engines compute through
+//! [`crate::ModelPair::for_engine`]: each engine's models count their own
+//! lookups, engines of one config that are alive together share one
+//! target table (a deployment's worth of replicas costs one table), and
+//! an engine built after the others are gone starts cold. Interior
+//! mutability uses a `Mutex` (uncontended in practice: one engine steps on
+//! one thread at a time) so models stay `Send + Sync` for parallel replica
+//! stepping.
 //!
 //! The table is **direct-mapped**: keys are already full-avalanche mixed
 //! hashes, so `key & mask` picks the slot and a conflicting insert simply
@@ -21,14 +26,24 @@
 //! rehash pauses and bounded memory — a conflict only costs a recompute,
 //! never correctness, because memoization is exact: a hit returns the
 //! same bit-identical [`SparseDist`] the miss path would compute.
+//!
+//! Two properties keep the memo cheap on the serving path:
+//!
+//! * **lazy** — the slot table is allocated on the first insert, so a
+//!   memo that is never consulted (the draft-blend memo, on every
+//!   engine's serving path) costs no memory;
+//! * **recycling** — a miss that evicts an entry nobody else holds
+//!   rebuilds that entry's [`SparseDist`] in place, reusing its `Arc` and
+//!   head allocation, so a steady-state miss allocates nothing.
 
 use crate::dist::SparseDist;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default slot count (a power of two) of the direct-mapped table.
 ///
 /// A distribution's head holds a few dozen entries (~½ KiB); 8 Ki slots
-/// keep the slot array itself cache-resident (≈200 KiB) while covering
+/// keep the slot array itself cache-resident (128 KiB) while covering
 /// far more contexts than a serving iteration touches — hits come
 /// overwhelmingly from the current iteration's draft/verify overlap, so
 /// a larger, cache-colder table measures slower, not faster.
@@ -65,10 +80,36 @@ impl MemoStats {
     }
 }
 
+/// Lookup counters of one model handle. A memo may be shared by several
+/// engines' models; each engine's models count their own lookups here,
+/// so per-engine reports never include a sibling's work.
+#[derive(Debug, Default)]
+pub(crate) struct LookupCounts {
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl LookupCounts {
+    /// Records one lookup.
+    pub(crate) fn record(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The counts so far.
+    pub(crate) fn stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct MemoInner {
     /// Direct-mapped slots: `slots[key & mask]` holds the entry (if any)
-    /// whose full key is stored alongside for exactness.
+    /// whose full key is stored alongside for exactness. Empty until the
+    /// first insert.
     slots: Vec<Option<(u64, Arc<SparseDist>)>>,
     stats: MemoStats,
 }
@@ -77,6 +118,7 @@ struct MemoInner {
 #[derive(Debug)]
 pub struct DistMemo {
     inner: Mutex<MemoInner>,
+    /// Slot count minus one (the slot count is a power of two).
     mask: u64,
 }
 
@@ -92,7 +134,7 @@ impl DistMemo {
         let cap = capacity.next_power_of_two().max(1);
         Self {
             inner: Mutex::new(MemoInner {
-                slots: vec![None; cap],
+                slots: Vec::new(),
                 stats: MemoStats::default(),
             }),
             mask: cap as u64 - 1,
@@ -104,36 +146,56 @@ impl DistMemo {
         Arc::new(Self::default())
     }
 
-    /// Returns the cached distribution for `key`, computing and inserting
-    /// it via `compute` on a miss (or slot conflict).
+    /// Returns the cached distribution for `key` and whether it was a
+    /// hit; on a miss (or slot conflict) `fill` computes it into a
+    /// [`SparseDist`] that is then cached and returned.
     ///
-    /// `compute` runs outside the lock (it may itself consult other
-    /// memos); a racing duplicate computation is harmless because
-    /// distributions are pure functions of the key.
+    /// The lock is taken once per lookup and held while `fill` runs, so
+    /// `fill` may consult *other* memos but never this one. On a miss
+    /// `fill` receives the evicted entry when no one else holds it, to
+    /// rebuild in place (reusing the allocation), or else a fresh empty
+    /// distribution; either way it must overwrite the whole value.
+    pub fn get_or_fill(
+        &self,
+        key: u64,
+        fill: impl FnOnce(&mut SparseDist),
+    ) -> (Arc<SparseDist>, bool) {
+        let mut guard = self.inner.lock().expect("memo lock");
+        let inner = &mut *guard;
+        if inner.slots.is_empty() {
+            inner.slots = vec![None; self.mask as usize + 1];
+        }
+        let slot = &mut inner.slots[(key & self.mask) as usize];
+        if let Some((k, dist)) = slot {
+            if *k == key {
+                inner.stats.hits += 1;
+                return (Arc::clone(dist), true);
+            }
+        }
+        inner.stats.misses += 1;
+        let mut dist = match slot.take() {
+            Some((_, evicted)) if Arc::strong_count(&evicted) == 1 => evicted,
+            _ => Arc::new(SparseDist::unfilled()),
+        };
+        fill(Arc::get_mut(&mut dist).expect("recycled or fresh entry is unique"));
+        *slot = Some((key, Arc::clone(&dist)));
+        (dist, false)
+    }
+
+    /// [`DistMemo::get_or_fill`] for a computed value: returns the cached
+    /// distribution for `key`, computing and inserting it via `compute`
+    /// on a miss (or slot conflict). `compute` runs under the lock, so it
+    /// may consult other memos but never this one.
     pub fn get_or_compute(
         &self,
         key: u64,
         compute: impl FnOnce() -> SparseDist,
     ) -> Arc<SparseDist> {
-        let slot = (key & self.mask) as usize;
-        {
-            let mut inner = self.inner.lock().expect("memo lock");
-            if let Some((k, dist)) = &inner.slots[slot] {
-                if *k == key {
-                    let dist = Arc::clone(dist);
-                    inner.stats.hits += 1;
-                    return dist;
-                }
-            }
-            inner.stats.misses += 1;
-        }
-        let dist = Arc::new(compute());
-        let mut inner = self.inner.lock().expect("memo lock");
-        inner.slots[slot] = Some((key, Arc::clone(&dist)));
-        dist
+        self.get_or_fill(key, |dist| *dist = compute()).0
     }
 
-    /// Current hit/miss counters.
+    /// Current hit/miss counters of every lookup in this memo, whichever
+    /// model made it.
     pub fn stats(&self) -> MemoStats {
         self.inner.lock().expect("memo lock").stats
     }
@@ -152,6 +214,11 @@ impl DistMemo {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Whether the slot table exists, i.e. anything was ever inserted.
+    pub fn has_table(&self) -> bool {
+        !self.inner.lock().expect("memo lock").slots.is_empty()
     }
 }
 
@@ -193,6 +260,34 @@ mod tests {
         let again = memo.get_or_compute(1, || dist(1));
         assert_eq!(*again, dist(1));
         assert_eq!(memo.len(), 1);
+    }
+
+    #[test]
+    fn table_is_allocated_on_first_insert() {
+        let memo = DistMemo::default();
+        assert!(!memo.has_table());
+        assert_eq!(memo.stats(), MemoStats::default());
+        memo.get_or_compute(5, || dist(5));
+        assert!(memo.has_table());
+    }
+
+    #[test]
+    fn unique_evicted_entry_is_rebuilt_in_place() {
+        let memo = DistMemo::with_capacity(1);
+        let first = Arc::as_ptr(&memo.get_or_compute(1, || dist(1)));
+        // Nobody holds key 1's entry any more: key 2 reuses its Arc.
+        let (second, hit) = memo.get_or_fill(2, |d| {
+            assert_eq!(*d, dist(1), "fill sees the evicted entry");
+            *d = dist(2);
+        });
+        assert!(!hit);
+        assert_eq!(Arc::as_ptr(&second), first);
+        assert_eq!(*second, dist(2));
+        // A held entry is left alone: the next miss gets a fresh one.
+        let third = memo.get_or_compute(3, || dist(3));
+        assert_ne!(Arc::as_ptr(&third), first);
+        assert_eq!(*second, dist(2));
+        assert_eq!(*third, dist(3));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The hash-seeded target (verified) language model.
 
 use crate::dist::SparseDist;
-use crate::hash::{mix64, seed_stream, unit_f64};
+use crate::hash::mix64;
+use crate::kernel;
 use crate::lm::{Lm, LmContext};
-use crate::memo::{DistMemo, MemoStats};
-use crate::vocab::{Vocab, NUM_SPECIAL_TOKENS};
+use crate::memo::{DistMemo, LookupCounts, MemoStats};
+use crate::vocab::Vocab;
 use std::sync::Arc;
 
 /// Configuration of a [`TargetLm`].
@@ -39,6 +40,12 @@ impl TargetLmConfig {
             weight_jitter: 0.35,
         }
     }
+
+    /// The key of the distribution for a context with hash `ctx_hash`:
+    /// the context hash mixed with the model seed.
+    pub(crate) fn dist_key(&self, ctx_hash: u64) -> u64 {
+        mix64(ctx_hash ^ self.seed)
+    }
 }
 
 /// The target model: a pure function from contexts to sparse distributions.
@@ -57,11 +64,20 @@ pub struct TargetLm {
     /// already computed. Memoization is exact (pure function of the
     /// context hash), so cached and recomputed runs are bit-identical.
     memo: Arc<DistMemo>,
+    /// This model's (and its clones') own lookups in `memo`, which other
+    /// engines' models may share.
+    counts: Arc<LookupCounts>,
 }
 
 impl TargetLm {
     /// Creates a target model.
     pub fn new(config: TargetLmConfig) -> Self {
+        Self::with_memo(config, DistMemo::shared())
+    }
+
+    /// Creates a target model caching in `memo` (which other models of
+    /// the same configuration may share), with its own lookup counters.
+    pub(crate) fn with_memo(config: TargetLmConfig, memo: Arc<DistMemo>) -> Self {
         assert!(config.head_width >= 2, "head must hold at least two tokens");
         assert!(
             (0.0..=1.0).contains(&config.head_mass),
@@ -69,7 +85,8 @@ impl TargetLm {
         );
         Self {
             config,
-            memo: DistMemo::shared(),
+            memo,
+            counts: Arc::default(),
         }
     }
 
@@ -78,144 +95,23 @@ impl TargetLm {
         &self.config
     }
 
-    /// Hit/miss counters of the distribution memo (shared across clones).
+    /// Hit/miss counters of this model's (and its clones') memo lookups.
     pub fn cache_stats(&self) -> MemoStats {
-        self.memo.stats()
+        self.counts.stats()
     }
 
-    /// Derives the head candidate tokens for a context hash.
-    ///
-    /// Tokens are pseudo-uniform over the non-special id space with linear
-    /// probing to guarantee distinctness.
-    fn head_tokens(&self, h: u64) -> Vec<u32> {
-        let space = self.config.vocab.size() - NUM_SPECIAL_TOKENS;
-        let mut tokens = Vec::with_capacity(self.config.head_width);
-        let mut i = 0u64;
-        while tokens.len() < self.config.head_width {
-            let cand = NUM_SPECIAL_TOKENS + (seed_stream(h, i) % u64::from(space)) as u32;
-            if !tokens.contains(&cand) {
-                tokens.push(cand);
-            }
-            i += 1;
-        }
-        tokens
+    /// The distribution memo (shared across clones).
+    pub fn cache(&self) -> &DistMemo {
+        &self.memo
     }
 
-    /// Head probabilities for context hash `h`, **sorted by token id**,
-    /// plus the final tail mass.
-    ///
-    /// This is the shared core of [`TargetLm::next_dist`] and the fused
-    /// draft blend ([`crate::DraftLm`] mixes these probabilities straight
-    /// into its mixture without building an intermediate [`SparseDist`]).
-    /// The token-sorted summation order matches
-    /// `SparseDist::from_weights`, keeping every downstream value
-    /// bit-identical to the unfused construction.
-    pub(crate) fn head_probs_token_sorted(
-        &self,
-        h: u64,
-        class: crate::ContentClass,
-    ) -> (Vec<(crate::TokenId, f64)>, f64) {
-        let mut out = Vec::new();
-        let tail_mass = self.head_probs_token_sorted_into(h, class, &mut out);
-        (out, tail_mass)
-    }
-
-    /// Scratch-buffer variant of [`TargetLm::head_probs_token_sorted`]:
-    /// fills `out` (cleared first) and returns the tail mass.
-    pub(crate) fn head_probs_token_sorted_into(
-        &self,
-        h: u64,
-        class: crate::ContentClass,
-        out: &mut Vec<(crate::TokenId, f64)>,
-    ) -> f64 {
-        let tail_weight = self.raw_head_weights(h, class, out);
-        // Tokens are distinct; sum in token-sorted order exactly as
-        // `from_weights` would after its dedup pass.
-        out.sort_unstable_by_key(|&(t, _)| t);
-        let head: f64 = out.iter().map(|&(_, w)| w).sum();
-        let total = head + tail_weight;
-        for w in out.iter_mut() {
-            w.1 /= total;
-        }
-        tail_weight / total
-    }
-
-    /// Generates the raw (unnormalized) jittered head weights for context
-    /// hash `h` into `out` (cleared first), in head order — strictly
-    /// descending for every supported decay/jitter configuration.
-    /// Returns the raw tail weight.
-    fn raw_head_weights(
-        &self,
-        h: u64,
-        class: crate::ContentClass,
-        out: &mut Vec<(crate::TokenId, f64)>,
-    ) -> f64 {
-        let tokens = self.head_tokens(h);
-        let decay = class.head_decay();
-        out.clear();
-        out.reserve(tokens.len());
-        for (i, &t) in tokens.iter().enumerate() {
-            let base = decay.powi(i as i32);
-            let jitter = if self.config.weight_jitter > 0.0 {
-                // Multiplicative jitter in [1 - j/2, 1 + j/2].
-                let u = unit_f64(seed_stream(h ^ 0x0117_7E12, i as u64));
-                1.0 + self.config.weight_jitter * (u - 0.5)
-            } else {
-                1.0
-            };
-            out.push((crate::TokenId(t), base * jitter));
-        }
-        // Scale the head to hold exactly `head_mass` of the total.
-        let head_sum: f64 = out.iter().map(|&(_, w)| w).sum();
-        head_sum * (1.0 - self.config.head_mass) / self.config.head_mass
-    }
-
-    /// The memo key for `ctx` (context hash mixed with the model seed).
-    pub(crate) fn dist_key(&self, ctx: &LmContext<'_>) -> u64 {
-        mix64(ctx.hash() ^ self.config.seed)
-    }
-
-    /// Computes the distribution for context hash `h` and head decay of
-    /// `class` (the miss path of the memo).
-    ///
-    /// Fast path: geometric decay dominates the jitter for every
-    /// supported configuration, so the generated weights are already
-    /// strictly descending — the final probabilities then equal the
-    /// generation order and only the *sum* needs token order (computed
-    /// through a packed index sort). When the descending check ever
-    /// fails, the code falls back to the general sort, producing the
-    /// exact same distribution either way.
-    fn compute_dist(&self, h: u64, class: crate::ContentClass) -> SparseDist {
-        let mut weights = Vec::new();
-        let tail_weight = self.raw_head_weights(h, class, &mut weights);
-        // Exact token-ascending sum without reordering the entries:
-        // sort packed (token << 32 | index) keys — tokens are distinct,
-        // so this is pure token order.
-        let mut order: Vec<u64> = weights
-            .iter()
-            .enumerate()
-            .map(|(i, &(t, _))| (u64::from(t.0) << 32) | i as u64)
-            .collect();
-        order.sort_unstable();
-        let head: f64 = order
-            .iter()
-            .map(|&k| weights[(k & 0xFFFF_FFFF) as usize].1)
-            .sum();
-        let total = head + tail_weight;
-        for w in &mut weights {
-            w.1 /= total;
-        }
-        let descending = weights.windows(2).all(|p| p[0].1 > p[1].1);
-        if !descending {
-            // `from_weights` orders by (prob desc, token asc); distinct
-            // tokens make the unstable sort deterministic.
-            weights.sort_unstable_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("finite probs")
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-        }
-        SparseDist::from_parts(weights, tail_weight / total, self.config.vocab.size())
+    /// The distribution for memo key `h`, computed in place by `fill` on
+    /// a miss (the fused draft kernel supplies its own miss path, which
+    /// shares one token-order sort with the noise head).
+    pub(crate) fn lookup(&self, h: u64, fill: impl FnOnce(&mut SparseDist)) -> Arc<SparseDist> {
+        let (dist, hit) = self.memo.get_or_fill(h, fill);
+        self.counts.record(hit);
+        dist
     }
 }
 
@@ -232,9 +128,10 @@ impl Lm for TargetLm {
         // The context hash folds in the stream seed, content class and
         // token window — everything `compute_dist` conditions on — so it
         // is a sound memo key once mixed with the model seed.
-        let h = self.dist_key(ctx);
-        self.memo
-            .get_or_compute(h, || self.compute_dist(h, ctx.class))
+        let h = self.config.dist_key(ctx.hash());
+        self.lookup(h, |dist| {
+            kernel::fill_target(&self.config, h, ctx.class, dist)
+        })
     }
 }
 
@@ -291,11 +188,15 @@ mod tests {
 
     #[test]
     fn head_tokens_are_distinct_and_non_special() {
-        let lm = TargetLm::new(TargetLmConfig::default_with_seed(3));
-        let toks = lm.head_tokens(12345);
-        let set: std::collections::HashSet<_> = toks.iter().collect();
-        assert_eq!(set.len(), toks.len());
-        assert!(toks.iter().all(|&t| t >= NUM_SPECIAL_TOKENS));
+        let config = TargetLmConfig::default_with_seed(3);
+        let mut head = vec![(crate::TokenId(7), 1.0)];
+        kernel::raw_head(&config, 12345, ContentClass::Chat, &mut head, true);
+        assert_eq!(head.remove(0), (crate::TokenId(7), 1.0), "appends");
+        let set: std::collections::HashSet<_> = head.iter().map(|e| e.0).collect();
+        assert_eq!(set.len(), config.head_width);
+        assert!(head
+            .iter()
+            .all(|e| e.0 .0 >= crate::vocab::NUM_SPECIAL_TOKENS));
     }
 
     #[test]
