@@ -624,6 +624,9 @@ impl Deployment for DisaggCluster {
                 r.routed += 1;
                 self.landing[id].push_back(transfer.request);
                 self.drain_landing(id);
+                if !self.landing[id].is_empty() {
+                    self.transfers.stats.parked += 1;
+                }
             }
             return Ok(DeploymentStep {
                 events,
@@ -1356,6 +1359,54 @@ mod tests {
                 r.decode_start_ms
             );
             assert!(r.avg_tpot_ms() > 0.0, "request {} reports zero TPOT", r.id);
+        }
+    }
+
+    #[test]
+    fn parked_migrations_are_identical_across_exec_modes() {
+        // Decode pools of 24 blocks x 16 tokens hold only a few contexts
+        // at once, so a burst of migrations parks on the landing queues
+        // and lands as finished requests free blocks.
+        let mut wl = tiny_workload(24, 2.0);
+        for r in &mut wl.requests {
+            r.output_len = 48;
+        }
+        let run = |mode: ExecMode| {
+            let prefill = PrefillPool::new(vec![SystemConfig::llama70b(3); 2]);
+            let decode: Vec<Box<dyn ServingEngine>> = (0..2)
+                .map(|_| {
+                    let mut engine = adaserve_core::AdaServeEngine::new(SystemConfig::llama70b(3));
+                    engine.core_mut().blocks = serving::BlockManager::new(24, 16);
+                    Box::new(engine) as Box<dyn ServingEngine>
+                })
+                .collect();
+            let disagg = DisaggCluster::new(
+                prefill,
+                decode,
+                Dispatcher::new(RouterKind::SloAware.build()),
+                KvLink::new(300.0, 0.05),
+            );
+            let mut session = ServeSession::new(disagg).with_exec_mode(mode);
+            let report = session
+                .serve(&wl)
+                .unwrap_or_else(|e| panic!("{}: {e}", mode.label()));
+            let disagg = session.into_inner();
+            let workers = disagg.worker_pool_size();
+            (report, disagg.transfer_stats(), workers)
+        };
+        let (reference, stats, _) = run(ExecMode::Sequential);
+        assert_eq!(reference.records.len(), 24);
+        assert!(stats.parked > 0, "some migration parked: {stats:?}");
+        for workers in [2, 4] {
+            let mode = ExecMode::Sharded {
+                workers: Some(workers),
+            };
+            let (report, got, pool) = run(mode);
+            assert_eq!(pool, workers, "{}: batches ran sharded", mode.label());
+            assert_eq!(report.records, reference.records, "{}", mode.label());
+            assert_eq!(report.end_ms, reference.end_ms, "{}", mode.label());
+            assert_eq!(report.iterations, reference.iterations, "{}", mode.label());
+            assert_eq!(got, stats, "{}: transfer telemetry", mode.label());
         }
     }
 

@@ -83,6 +83,9 @@ pub struct TransferStats {
     /// Transfers aborted mid-migration by an injected link outage or a
     /// destination crash (their requests returned to the front door).
     pub aborted: u64,
+    /// Transfers that landed on a decode replica whose KV pool was full
+    /// and waited on its landing queue for blocks to free up.
+    pub parked: u64,
 }
 
 impl TransferStats {
