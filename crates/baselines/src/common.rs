@@ -82,8 +82,7 @@ pub fn decoding_ids(core: &EngineCore) -> Vec<u64> {
 }
 
 /// Test-only front-door drive of one engine, shared by every baseline's
-/// unit tests (replaces the deprecated `serving::run` with the same
-/// signature, so tests read unchanged).
+/// unit tests.
 #[cfg(test)]
 pub(crate) fn test_run(
     engine: &mut dyn serving::ServingEngine,

@@ -1,4 +1,4 @@
-//! Ablations of AdaServe's design choices (DESIGN.md §4).
+//! Ablations of AdaServe's design choices (paper §4; abstract in `PAPER.md`).
 //!
 //! * adaptive vs static `(d, w)` — the value of eq. 8–9;
 //! * SLO-customized selection on/off — the value of phase 2 vs pure

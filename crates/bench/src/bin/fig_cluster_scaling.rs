@@ -89,9 +89,9 @@ fn main() {
             .target_rps(rps * n as f64)
             .duration_ms(duration_ms)
             .build();
-        let cluster = Cluster::new(fleet(n, seed), router.build())
-            .with_exec_mode(adaserve_bench::exec_mode());
+        let cluster = Cluster::new(fleet(n, seed), router.build());
         let report = ServeSession::new(cluster)
+            .with_exec_mode(adaserve_bench::exec_mode())
             .serve(&workload)
             .unwrap_or_else(|e| panic!("{} on {n} replicas failed: {e}", router.name()));
         expect_no_rejections(router.name(), &report);

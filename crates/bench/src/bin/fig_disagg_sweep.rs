@@ -75,9 +75,9 @@ fn engines(n: usize, seed: u64) -> Vec<Box<dyn ServingEngine>> {
 fn run_one(deployment: Deployment, workload: &Workload, seed: u64) -> SloReport {
     match deployment {
         Deployment::Colocated => {
-            let cluster = Cluster::new(engines(TOTAL_REPLICAS, seed), RouterKind::SloAware.build())
-                .with_exec_mode(adaserve_bench::exec_mode());
+            let cluster = Cluster::new(engines(TOTAL_REPLICAS, seed), RouterKind::SloAware.build());
             let report = ServeSession::new(cluster)
+                .with_exec_mode(adaserve_bench::exec_mode())
                 .serve(workload)
                 .unwrap_or_else(|e| panic!("colocated run failed: {e}"));
             expect_no_rejections("colocated", &report);
@@ -94,9 +94,9 @@ fn run_one(deployment: Deployment, workload: &Workload, seed: u64) -> SloReport 
                 decode,
                 Dispatcher::new(RouterKind::SloAware.build()),
                 KvLink::new(link_gbps, 0.05),
-            )
-            .with_exec_mode(adaserve_bench::exec_mode());
+            );
             let report = ServeSession::new(disagg)
+                .with_exec_mode(adaserve_bench::exec_mode())
                 .serve(workload)
                 .unwrap_or_else(|e| panic!("disagg {deployment:?} failed: {e}"));
             expect_no_rejections(&deployment.label(), &report);

@@ -49,9 +49,10 @@ fn fleet(n: usize, seed: u64) -> Vec<Box<dyn ServingEngine>> {
 /// Serves `wl` on a fresh `n`-replica fleet under `mode`, returning the
 /// report and the wall time.
 fn timed(n: usize, seed: u64, mode: ExecMode, wl: &Workload) -> (RunReport, f64) {
-    let cluster = Cluster::new(fleet(n, seed), RouterKind::SloAware.build()).with_exec_mode(mode);
+    let cluster = Cluster::new(fleet(n, seed), RouterKind::SloAware.build());
     let start = Instant::now();
     let report = ServeSession::new(cluster)
+        .with_exec_mode(mode)
         .serve(wl)
         .unwrap_or_else(|e| panic!("{} on {n} replicas failed: {e}", mode.label()));
     (report, start.elapsed().as_secs_f64() * 1e3)

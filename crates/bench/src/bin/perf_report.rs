@@ -201,20 +201,21 @@ fn main() {
         .duration_ms(duration_ms)
         .build();
     let fleet = |mode: ExecMode| {
-        Cluster::new(engines(4, seed), RouterKind::SloAware.build()).with_exec_mode(mode)
+        ServeSession::new(Cluster::new(engines(4, seed), RouterKind::SloAware.build()))
+            .with_exec_mode(mode)
     };
     // Interleaved rounds: warmup pair first, then alternate the two
     // executors within each measured round so drift and cold-start bias
     // hit both sides equally.
-    let _ = timed(fleet(exec), &fleet_wl);
-    let _ = timed(fleet(ExecMode::Sequential), &fleet_wl);
+    let _ = timed_session(fleet(exec), &fleet_wl);
+    let _ = timed_session(fleet(ExecMode::Sequential), &fleet_wl);
     let (mut exec_best, mut seq_best) = (f64::INFINITY, f64::INFINITY);
     let (mut exec_report, mut seq_report) = (None, None);
     for _ in 0..TRIALS {
-        let (report, wall) = timed(fleet(exec), &fleet_wl);
+        let (report, wall) = timed_session(fleet(exec), &fleet_wl);
         exec_best = exec_best.min(wall);
         exec_report = Some(report);
-        let (report, wall) = timed(fleet(ExecMode::Sequential), &fleet_wl);
+        let (report, wall) = timed_session(fleet(ExecMode::Sequential), &fleet_wl);
         seq_best = seq_best.min(wall);
         seq_report = Some(report);
     }

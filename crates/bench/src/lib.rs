@@ -9,8 +9,8 @@
 //!
 //! Absolute numbers come from the roofline cost model rather than real
 //! A100s, so the *shapes* (who wins, by what factor, where crossovers fall)
-//! are the reproduction target — see `EXPERIMENTS.md` for paper-vs-measured
-//! notes.
+//! are the reproduction target — see the "Benchmark artifacts" section of
+//! `README.md` for what each artifact records.
 
 pub mod json;
 pub mod summary;

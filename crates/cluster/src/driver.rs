@@ -6,99 +6,17 @@
 //! in global time order). Completion records from all replicas merge into
 //! a single fleet-wide stream for metrics.
 
+use crate::pool::{pooled_gauges, ReplicaPool};
 use crate::replica::Replica;
 use crate::router::Router;
 use metrics::telemetry::{EventKind, GaugeSample, Tracer};
-use metrics::{ClusterReport, HotLoopStats, RequestRecord, SloReport};
 use serving::{
-    core_gauges, Deployment, DeploymentEvent, DeploymentStep, ExecMode, FaultKind, Pool,
-    ReplicaAddr, RunError, RunOptions, RunResult, ServeSession, ServingEngine, ShardedExecutor,
+    Deployment, DeploymentStep, FaultKind, ReplicaAddr, RunError, RunOptions, ServingEngine,
     UnitStats,
 };
-use std::sync::Mutex;
-use workload::{RequestSpec, Workload};
+use workload::RequestSpec;
 
 pub use serving::ScalingAction;
-
-/// A scheduled drain/join of one replica.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalingEvent {
-    /// Simulation time at which the event applies.
-    pub at_ms: f64,
-    /// Target replica index.
-    pub replica: usize,
-    /// Drain or join.
-    pub action: ScalingAction,
-}
-
-/// Outcome of one replica's share of a cluster run.
-#[derive(Debug, Clone)]
-pub struct ReplicaResult {
-    /// Replica index.
-    pub replica: usize,
-    /// Requests the router placed on this replica.
-    pub routed: u64,
-    /// The replica's own run result (records, breakdown, iterations).
-    pub result: RunResult,
-}
-
-impl ReplicaResult {
-    /// Display label, e.g. `"replica-0 (AdaServe)"`.
-    pub fn label(&self) -> String {
-        format!("replica-{} ({})", self.replica, self.result.engine)
-    }
-}
-
-/// Outcome of serving one workload on a cluster.
-#[derive(Debug, Clone)]
-pub struct ClusterRunResult {
-    /// Routing policy name.
-    pub router: String,
-    /// All completion records, merged across replicas by completion time.
-    pub records: Vec<RequestRecord>,
-    /// Per-replica results, in replica order.
-    pub per_replica: Vec<ReplicaResult>,
-    /// Global simulation end time (latest replica clock).
-    pub end_ms: f64,
-    /// Iterations executed across the fleet.
-    pub iterations: u64,
-}
-
-impl ClusterRunResult {
-    /// Fleet-wide SLO report over the merged records.
-    pub fn report(&self) -> SloReport {
-        SloReport::from_records(&self.records)
-    }
-
-    /// Per-replica + merged reports.
-    pub fn cluster_report(&self) -> ClusterReport {
-        ClusterReport::from_streams(
-            self.per_replica
-                .iter()
-                .map(|r| (r.label(), r.result.records.clone()))
-                .collect(),
-        )
-    }
-}
-
-/// Routing eligibility from per-replica accepting flags: the indices whose
-/// flag is set, or every index when none are — a fully draining pool
-/// degrades to routing anywhere rather than dropping requests. Shared by
-/// the colocated driver and the disaggregated pools.
-pub fn accepting_or_all(flags: impl Iterator<Item = bool>) -> Vec<usize> {
-    let flags: Vec<bool> = flags.collect();
-    let accepting: Vec<usize> = flags
-        .iter()
-        .enumerate()
-        .filter(|(_, &a)| a)
-        .map(|(i, _)| i)
-        .collect();
-    if accepting.is_empty() {
-        (0..flags.len()).collect()
-    } else {
-        accepting
-    }
-}
 
 /// The slowest near-zero-load decode latency across a prospective fleet.
 ///
@@ -114,22 +32,13 @@ pub fn max_baseline_ms(engines: &[Box<dyn ServingEngine>]) -> f64 {
 
 /// N serving engines behind a routing policy, driven under one clock.
 ///
-/// A `Cluster` implements [`Deployment`], so the standard way to run it
-/// is through a [`ServeSession`] (open-loop or online); the legacy
-/// [`Cluster::run`] remains as a deprecated, output-equivalent shim.
+/// A `Cluster` implements [`Deployment`]: run it through a
+/// [`serving::ServeSession`] (open-loop or online), which also picks its
+/// [`serving::ExecMode`].
 #[derive(Debug)]
 pub struct Cluster {
-    replicas: Vec<Replica>,
+    pool: ReplicaPool,
     router: Box<dyn Router>,
-    events: Vec<ScalingEvent>,
-    /// Driver-level [`ExecMode`] override; when unset,
-    /// [`RunOptions::exec`] (i.e. the session's mode) applies. Output is
-    /// record-identical across modes — see [`serving::exec`].
-    exec_override: Option<ExecMode>,
-    /// The persistent worker pool behind [`ExecMode::Sharded`], created
-    /// lazily on the first multi-worker batch and reused for every batch
-    /// of every `serve()` call on this cluster.
-    pool: Option<ShardedExecutor>,
     /// Fleet-shared trace sink for routing decisions; each replica holds
     /// a clone of the same log for its iteration events.
     tracer: Tracer,
@@ -143,95 +52,23 @@ impl Cluster {
     ///
     /// Panics if `engines` is empty.
     pub fn new(engines: Vec<Box<dyn ServingEngine>>, router: Box<dyn Router>) -> Self {
-        assert!(!engines.is_empty(), "a cluster needs at least one replica");
-        let replicas = engines
-            .into_iter()
-            .enumerate()
-            .map(|(id, engine)| Replica::new(id, engine))
-            .collect();
         Self {
-            replicas,
+            pool: ReplicaPool::new(engines),
             router,
-            events: Vec::new(),
-            exec_override: None,
-            pool: None,
             tracer: Tracer::off(),
         }
-    }
-
-    /// Pins how this cluster executes batched replica stepping,
-    /// overriding the session-level [`RunOptions::exec`] (see
-    /// [`serving::exec::ExecMode`]). Output is record-identical across
-    /// modes (pinned by `tests/output_equivalence.rs` and the cluster
-    /// proptests); only the interleaving of surfaced lifecycle events
-    /// differs.
-    #[must_use]
-    pub fn with_exec_mode(mut self, exec: ExecMode) -> Self {
-        self.exec_override = Some(exec);
-        self
-    }
-
-    /// Enables/disables parallel replica stepping.
-    ///
-    /// # Deprecated
-    ///
-    /// This maps to [`Cluster::with_exec_mode`] with
-    /// [`ExecMode::Sharded`] / [`ExecMode::Sequential`]:
-    ///
-    /// ```
-    /// use cluster::Cluster;
-    /// use serving::ExecMode;
-    ///
-    /// // before: cluster.with_parallel_stepping(parallel)
-    /// fn migrated(cluster: Cluster, parallel: bool) -> Cluster {
-    ///     cluster.with_exec_mode(if parallel {
-    ///         ExecMode::Sharded { workers: None }
-    ///     } else {
-    ///         ExecMode::Sequential
-    ///     })
-    /// }
-    /// ```
-    ///
-    /// Note that the thread-per-step design this flag used to toggle
-    /// *lost* to sequential stepping at small fleets (4 replicas: 290 ms
-    /// vs 268 ms wall in the historical `BENCH_perf.json`) — the
-    /// persistent sharded executor behind `ExecMode` is what makes
-    /// batched stepping win; see the refreshed artifact and
-    /// `BENCH_fleet_scaling.json` for the measured crossover.
-    #[deprecated(note = "use `with_exec_mode(ExecMode::…)` instead")]
-    #[must_use]
-    pub fn with_parallel_stepping(self, parallel: bool) -> Self {
-        self.with_exec_mode(if parallel {
-            ExecMode::Sharded { workers: None }
-        } else {
-            ExecMode::Sequential
-        })
     }
 
     /// Worker threads held by the persistent stepping pool (0 until a
     /// multi-worker sharded batch has run). Exposed so tests can assert
     /// the pool is reused across `serve()` calls rather than leaked.
     pub fn worker_pool_size(&self) -> usize {
-        self.pool.as_ref().map_or(0, ShardedExecutor::workers)
-    }
-
-    /// Schedules elastic-scaling (drain/join) events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an event names a replica outside the cluster.
-    pub fn with_events(mut self, mut events: Vec<ScalingEvent>) -> Self {
-        for e in &events {
-            assert!(e.replica < self.replicas.len(), "event names no replica");
-        }
-        events.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
-        self.events = events;
-        self
+        self.pool.worker_pool_size()
     }
 
     /// Read-only view of the replicas (for tests and inspection).
     pub fn replicas(&self) -> &[Replica] {
-        &self.replicas
+        self.pool.replicas()
     }
 
     /// The slowest replica's baseline decode latency.
@@ -239,125 +76,34 @@ impl Cluster {
     /// Heterogeneous fleets should build their workload against this value
     /// so baseline-relative SLOs stay attainable on every replica.
     pub fn max_baseline_ms(&self) -> f64 {
-        self.replicas
-            .iter()
-            .map(Replica::baseline_ms)
-            .fold(0.0, f64::max)
+        self.pool.max_baseline_ms()
     }
-
-    /// Serves `workload` to completion across the fleet.
-    ///
-    /// # Deprecated
-    ///
-    /// This is now a thin shim over the unified front door — a
-    /// [`ServeSession`] driving this cluster as a [`Deployment`] — which
-    /// additionally supports mid-run submission and scaling. Output is
-    /// equivalent (see `tests/output_equivalence.rs`). Migrate by
-    /// wrapping the same cluster; scheduled [`Cluster::with_events`]
-    /// scaling becomes `scale_at` calls on the session's timeline:
-    ///
-    /// ```
-    /// use cluster::{Cluster, ScalingEvent};
-    /// use serving::{ReplicaAddr, RunError, RunOptions, RunReport, ServeSession};
-    /// use workload::Workload;
-    ///
-    /// // before: cluster.with_events(events).run(workload, options)?
-    /// fn migrated(
-    ///     cluster: Cluster,
-    ///     events: Vec<ScalingEvent>,
-    ///     workload: &Workload,
-    ///     options: RunOptions,
-    /// ) -> Result<RunReport, RunError> {
-    ///     let mut session = ServeSession::with_options(cluster, options);
-    ///     for e in events {
-    ///         session.scale_at(e.at_ms, ReplicaAddr::serving(e.replica), e.action);
-    ///     }
-    ///     session.serve(workload)
-    /// }
-    /// ```
-    #[deprecated(note = "drive a `serving::ServeSession` over this `Cluster` instead")]
-    pub fn run(
-        mut self,
-        workload: &Workload,
-        options: RunOptions,
-    ) -> Result<ClusterRunResult, RunError> {
-        let events = std::mem::take(&mut self.events);
-        let router = self.router.name();
-        let mut session = ServeSession::with_options(self, options).admission_control(false);
-        for e in events {
-            session.scale_at(e.at_ms, ReplicaAddr::serving(e.replica), e.action);
-        }
-        let report = session.serve(workload)?;
-        Ok(ClusterRunResult {
-            router,
-            records: report.records,
-            per_replica: report
-                .units
-                .into_iter()
-                .map(|u| ReplicaResult {
-                    replica: u.replica.index,
-                    routed: u.routed,
-                    result: u.result,
-                })
-                .collect(),
-            end_ms: report.end_ms,
-            iterations: report.iterations,
-        })
-    }
-
-    /// The earliest replica ready to iterate (lowest clock, then id).
-    /// Down replicas are frozen: they hold no work and step again only
-    /// once the session clears their crash.
-    fn next_stepper(&self) -> Option<(f64, usize)> {
-        self.replicas
-            .iter()
-            .filter(|r| r.has_work() && !r.down)
-            .min_by(|a, b| a.clock_ms.total_cmp(&b.clock_ms).then(a.id.cmp(&b.id)))
-            .map(|r| (r.clock_ms, r.id))
-    }
-}
-
-/// One replica's share of a sharded stepping batch: exclusive access to
-/// the replica plus a private event buffer and result slot, merged in
-/// replica-index order once the batch completes.
-struct StepTask<'a> {
-    id: usize,
-    replica: &'a mut Replica,
-    events: Vec<DeploymentEvent>,
-    result: Result<(), RunError>,
 }
 
 impl Deployment for Cluster {
-    /// The routing policy's name (the label legacy cluster results carried).
+    /// The routing policy's name.
     fn name(&self) -> String {
         self.router.name()
     }
 
     fn max_baseline_ms(&self) -> f64 {
-        Cluster::max_baseline_ms(self)
+        self.pool.max_baseline_ms()
     }
 
     fn kv_capacity_tokens(&self) -> u64 {
-        self.replicas
-            .iter()
-            .map(|r| r.engine.core().kv_capacity_tokens())
-            .min()
-            .expect("a cluster has at least one replica")
+        self.pool.kv_capacity_tokens()
     }
 
     /// The longest cached prefix across *all* replicas: routing (e.g. the
     /// `prefix-affinity` policy) can steer the request to whichever
     /// replica holds it.
     fn cached_prefix_tokens(&self, spec: &RequestSpec) -> u32 {
-        if self
-            .replicas
-            .iter()
-            .all(|r| r.engine.core().prefix.is_none())
-        {
+        if self.pool.cores().all(|c| c.prefix.is_none()) {
             return 0;
         }
         let prompt = spec.prompt_tokens();
-        self.replicas
+        self.pool
+            .replicas()
             .iter()
             .map(|r| r.cached_prefix_tokens(spec, &prompt))
             .max()
@@ -370,8 +116,9 @@ impl Deployment for Cluster {
     /// information a real router has when an engine's batch is already on
     /// the GPU.
     fn submit(&mut self, spec: RequestSpec, now_ms: f64) {
-        let eligible = accepting_or_all(self.replicas.iter().map(|r| r.accepting && !r.down));
-        let mut choice = self.router.route(&spec, now_ms, &self.replicas, &eligible);
+        let eligible = self.pool.eligible();
+        let replicas = self.pool.replicas();
+        let mut choice = self.router.route(&spec, now_ms, replicas, &eligible);
         if !eligible.contains(&choice) {
             debug_assert!(false, "router returned ineligible replica {choice}");
             choice = eligible[0];
@@ -383,216 +130,73 @@ impl Deployment for Cluster {
                     id: spec.id,
                     router: self.router.name(),
                     replica: serving::trace_replica(ReplicaAddr::serving(choice)),
-                    modeled_load_ms: self.replicas[choice].drain_estimate_ms(now_ms),
+                    modeled_load_ms: replicas[choice].drain_estimate_ms(now_ms),
                 },
             );
         }
-        let r = &mut self.replicas[choice];
-        r.engine.core_mut().on_arrival(spec);
-        r.clock_ms = r.clock_ms.max(now_ms);
-        r.routed += 1;
+        self.pool.replicas_mut()[choice].submit(spec, now_ms);
     }
 
     fn next_event_ms(&self) -> Option<f64> {
-        self.next_stepper().map(|(t, _)| t)
+        self.pool.next_stepper().map(|(t, _)| t)
     }
 
     fn step(&mut self, options: &RunOptions) -> Result<DeploymentStep, RunError> {
-        let Some((_, id)) = self.next_stepper() else {
-            return Ok(DeploymentStep::default());
-        };
-        let mut events = Vec::new();
-        let latency_ms =
-            self.replicas[id].step_checked(ReplicaAddr::serving(id), options, &mut events)?;
-        Ok(DeploymentStep {
-            events,
-            latency_ms: Some(latency_ms),
-            replica: Some(ReplicaAddr::serving(id)),
-        })
+        self.pool.step(options)
     }
 
     /// Sharded batch stepping: replicas never interact between the
     /// session's external events, so every replica due before
-    /// `horizon_ms` advances to the horizon independently — distributed
-    /// over the persistent [`ShardedExecutor`] (or inline on the caller
-    /// when one worker suffices) — and results merge in replica-index
-    /// order: deterministic regardless of thread scheduling, and
-    /// record-identical to sequential stepping.
+    /// `horizon_ms` advances to the horizon independently (see
+    /// [`ReplicaPool::step_batch`]).
     fn step_until(
         &mut self,
         horizon_ms: f64,
         options: &RunOptions,
     ) -> Result<DeploymentStep, RunError> {
-        let mode = self.exec_override.unwrap_or(options.exec);
-        let due = self
-            .replicas
-            .iter()
-            .filter(|r| r.has_work() && !r.down && r.clock_ms < horizon_ms)
-            .count();
-        if mode == ExecMode::Sequential || due <= 1 {
-            return self.step(options);
+        match self.pool.step_batch(horizon_ms, options)? {
+            Some(step) => Ok(step),
+            None => self.pool.step(options),
         }
-        let mut tasks: Vec<Mutex<StepTask<'_>>> = self
-            .replicas
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, r)| r.has_work() && !r.down && r.clock_ms < horizon_ms)
-            .map(|(id, replica)| {
-                Mutex::new(StepTask {
-                    id,
-                    replica,
-                    events: Vec::new(),
-                    result: Ok(()),
-                })
-            })
-            .collect();
-        let run_one = |i: usize| {
-            // Uncontended: shard claiming hands each index to exactly one
-            // worker; the mutex only makes that exclusivity checkable.
-            let mut task = tasks[i].lock().expect("step task");
-            let task = &mut *task;
-            task.result = task.replica.run_until(
-                ReplicaAddr::serving(task.id),
-                horizon_ms,
-                options,
-                &mut task.events,
-            );
-        };
-        let workers = mode.effective_workers();
-        if workers <= 1 {
-            for i in 0..tasks.len() {
-                run_one(i);
-            }
-        } else {
-            if self.pool.as_ref().is_some_and(|p| p.workers() != workers) {
-                self.pool = None;
-            }
-            self.pool
-                .get_or_insert_with(|| ShardedExecutor::new(workers))
-                .run(tasks.len(), run_one);
-        }
-        let mut events = Vec::new();
-        for task in tasks.drain(..) {
-            let task = task.into_inner().expect("step task");
-            task.result?;
-            events.extend(task.events);
-        }
-        // Progress is guarded per replica inside `run_until` (stall
-        // detection and caps); the batch itself reports no latency.
-        Ok(DeploymentStep {
-            events,
-            latency_ms: None,
-            replica: None,
-        })
     }
 
     fn set_accepting(&mut self, replica: ReplicaAddr, accepting: bool, now_ms: f64) {
-        assert_eq!(
-            replica.pool,
-            Pool::Decode,
-            "clusters have one (decode) pool"
-        );
-        let r = &mut self.replicas[replica.index];
-        r.accepting = accepting;
-        r.clock_ms = r.clock_ms.max(now_ms);
+        self.pool.set_accepting(replica, accepting, now_ms);
     }
 
+    /// Replica crashes and slowdowns; a colocated-replica fleet has no KV
+    /// interconnect for link faults to hit.
     fn inject_fault(&mut self, fault: &FaultKind, now_ms: f64) -> Vec<RequestSpec> {
-        // A serving replica the plan names but the fleet lacks is a no-op:
-        // seeded plans are sized to the fleet, hand-built ones may not be.
-        let target = |addr: &ReplicaAddr| {
-            (addr.pool == Pool::Decode && addr.index < self.replicas.len()).then_some(addr.index)
-        };
-        match fault {
-            FaultKind::ReplicaCrash { replica, .. } => target(replica)
-                .map(|i| self.replicas[i].crash(now_ms))
-                .unwrap_or_default(),
-            FaultKind::SlowReplica {
-                replica, factor, ..
-            } => {
-                if let Some(i) = target(replica) {
-                    self.replicas[i].latency_factor = *factor;
-                }
-                Vec::new()
-            }
-            // No KV interconnect in a colocated-replica fleet.
-            FaultKind::LinkDegrade { .. } | FaultKind::LinkOutage { .. } => Vec::new(),
-        }
+        self.pool.inject_fault(fault, now_ms)
     }
 
     fn clear_fault(&mut self, fault: &FaultKind, now_ms: f64) {
-        let target = |addr: &ReplicaAddr| {
-            (addr.pool == Pool::Decode && addr.index < self.replicas.len()).then_some(addr.index)
-        };
-        match fault {
-            FaultKind::ReplicaCrash { replica, .. } => {
-                if let Some(i) = target(replica) {
-                    self.replicas[i].recover(now_ms);
-                }
-            }
-            FaultKind::SlowReplica { replica, .. } => {
-                if let Some(i) = target(replica) {
-                    self.replicas[i].latency_factor = 1.0;
-                }
-            }
-            FaultKind::LinkDegrade { .. } | FaultKind::LinkOutage { .. } => {}
-        }
+        self.pool.clear_fault(fault, now_ms);
     }
 
     fn set_degraded(&mut self, degraded: bool) {
-        for r in &mut self.replicas {
-            r.engine.core_mut().degraded = degraded;
-        }
+        self.pool.set_degraded(degraded);
     }
 
     fn iterations(&self) -> u64 {
-        self.replicas
-            .iter()
-            .map(|r| r.engine.core().iterations)
-            .sum()
+        self.pool.iterations()
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        for r in &mut self.replicas {
-            r.set_tracer(tracer.clone());
-        }
+        self.pool.set_tracer(&tracer);
         self.tracer = tracer;
     }
 
-    /// Fleet gauges: queue depth and in-flight sum across replicas, KV
-    /// occupancy reports the worst (fullest) replica, and the cache hit
-    /// rate pools the per-replica lookup/hit counters.
     fn gauges(&self) -> GaugeSample {
-        let mut sample = GaugeSample::default();
-        let mut hot = HotLoopStats::default();
-        for r in &self.replicas {
-            let core = r.engine.core();
-            let g = core_gauges(core);
-            sample.queue_depth += g.queue_depth;
-            sample.in_flight += g.in_flight;
-            sample.kv_occupancy_pct = sample.kv_occupancy_pct.max(g.kv_occupancy_pct);
-            hot.merge(&core.hotloop);
-        }
-        sample.cache_hit_rate_pct = hot.prefix_hit_rate_pct();
-        sample
+        pooled_gauges(self.pool.cores())
     }
 
     fn clock_ms(&self) -> f64 {
-        self.replicas.iter().map(|r| r.clock_ms).fold(0.0, f64::max)
+        self.pool.clock_ms()
     }
 
     fn drain(&mut self) -> Result<Vec<UnitStats>, RunError> {
-        Ok(self
-            .replicas
-            .iter_mut()
-            .map(|r| UnitStats {
-                replica: ReplicaAddr::serving(r.id),
-                routed: r.routed,
-                result: r.finalize(),
-                prefilled_requests: 0,
-                prefill_tokens: 0,
-            })
-            .collect())
+        self.pool.drain()
     }
 }
 
@@ -600,8 +204,11 @@ impl Deployment for Cluster {
 mod tests {
     use super::*;
     use crate::router::{LeastOutstanding, RoundRobin, RouterKind};
-    use serving::{Colocated, EngineCore, RunErrorKind, RunReport, StepResult, SystemConfig};
-    use workload::{Category, RequestSpec};
+    use serving::{
+        Colocated, EngineCore, FaultPlan, Pool, RunErrorKind, RunReport, ScalePlan, ServeSession,
+        StepResult, SystemConfig,
+    };
+    use workload::{Category, RequestSpec, Workload};
 
     /// Minimal engine: admits FIFO, prefills whole prompts, decodes one
     /// token per running request per iteration (same as serving's own
@@ -707,15 +314,23 @@ mod tests {
     /// Front-door drive of a cluster with a scaling timeline.
     fn serve_cluster(
         cluster: Cluster,
-        events: Vec<ScalingEvent>,
+        plans: Vec<ScalePlan>,
         workload: &Workload,
         options: RunOptions,
     ) -> Result<RunReport, RunError> {
         let mut session = ServeSession::with_options(cluster, options);
-        for e in events {
-            session.scale_at(e.at_ms, ReplicaAddr::serving(e.replica), e.action);
+        for p in plans {
+            session.scale_at(p.at_ms, p.replica, p.action);
         }
         session.serve(workload)
+    }
+
+    fn plan(at_ms: f64, replica: usize, action: ScalingAction) -> ScalePlan {
+        ScalePlan {
+            at_ms,
+            replica: ReplicaAddr::serving(replica),
+            action,
+        }
     }
 
     #[test]
@@ -789,11 +404,7 @@ mod tests {
         let wl = tiny_workload(8, 50.0);
         let result = serve_cluster(
             naive_cluster(2, Box::new(RoundRobin::default())),
-            vec![ScalingEvent {
-                at_ms: -1.0,
-                replica: 1,
-                action: ScalingAction::Drain,
-            }],
+            vec![plan(-1.0, 1, ScalingAction::Drain)],
             &wl,
             RunOptions::default(),
         )
@@ -809,16 +420,9 @@ mod tests {
         let result = serve_cluster(
             naive_cluster(2, Box::new(RoundRobin::default())),
             vec![
-                ScalingEvent {
-                    at_ms: -1.0,
-                    replica: 1,
-                    action: ScalingAction::Drain,
-                },
-                ScalingEvent {
-                    at_ms: 240.0, // before the 6th arrival at 250 ms
-                    replica: 1,
-                    action: ScalingAction::Join,
-                },
+                plan(-1.0, 1, ScalingAction::Drain),
+                // Before the 6th arrival at 250 ms.
+                plan(240.0, 1, ScalingAction::Join),
             ],
             &wl,
             RunOptions::default(),
@@ -838,22 +442,60 @@ mod tests {
         let result = serve_cluster(
             naive_cluster(2, Box::new(RoundRobin::default())),
             vec![
-                ScalingEvent {
-                    at_ms: -1.0,
-                    replica: 0,
-                    action: ScalingAction::Drain,
-                },
-                ScalingEvent {
-                    at_ms: -1.0,
-                    replica: 1,
-                    action: ScalingAction::Drain,
-                },
+                plan(-1.0, 0, ScalingAction::Drain),
+                plan(-1.0, 1, ScalingAction::Drain),
             ],
             &wl,
             RunOptions::default(),
         )
         .unwrap();
         assert_eq!(result.records.len(), 4, "degrades to routing anywhere");
+    }
+
+    #[test]
+    fn draining_fallback_skips_crashed_replicas() {
+        // Replica 0 drains and replica 1 is down: the fallback must route
+        // to the live draining replica, never park arrivals on the dead one.
+        let wl = tiny_workload(10, 20.0);
+        let (crash_at, down_ms) = (50.0, 120.0);
+        let plan_crash = FaultPlan::new().at(
+            crash_at,
+            FaultKind::ReplicaCrash {
+                replica: ReplicaAddr::serving(1),
+                down_ms,
+            },
+        );
+        let mut session = ServeSession::new(naive_cluster(2, Box::new(RoundRobin::default())))
+            .with_fault_plan(plan_crash);
+        session.scale_at(-1.0, ReplicaAddr::serving(0), ScalingAction::Drain);
+        let report = session.serve(&wl).unwrap();
+        assert_eq!(report.records.len(), 10);
+        let in_window: Vec<u64> = wl
+            .requests
+            .iter()
+            .filter(|r| r.arrival_ms >= crash_at && r.arrival_ms < crash_at + down_ms)
+            .map(|r| r.id)
+            .collect();
+        assert!(!in_window.is_empty());
+        let on_first: Vec<u64> = report.units[0]
+            .result
+            .records
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        for id in in_window {
+            assert!(on_first.contains(&id), "request {id} served by replica 0");
+        }
+    }
+
+    #[test]
+    fn scaling_an_unknown_replica_is_a_no_op() {
+        let wl = tiny_workload(6, 10.0);
+        let mut session = ServeSession::new(naive_cluster(2, Box::new(RoundRobin::default())));
+        session.scale_at(5.0, ReplicaAddr::serving(99), ScalingAction::Drain);
+        session.scale_at(5.0, ReplicaAddr::prefill(0), ScalingAction::Drain);
+        let report = session.serve(&wl).unwrap();
+        assert_eq!(report.records.len(), 6);
     }
 
     #[test]

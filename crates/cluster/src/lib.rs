@@ -16,17 +16,20 @@
 //!   which sends a request to the replica holding its longest cached
 //!   prompt prefix (see [`serving::PrefixCache`]) unless that replica is
 //!   saturated;
-//! * [`driver`] — the [`Cluster`]: a fleet of replicas behind one router,
+//! * [`pool`] — the [`ReplicaPool`]: replicas stepped under one global
+//!   clock, sequentially or batch-sharded over a persistent executor,
+//!   with address resolution, crash/slowdown faults, gauges and drain.
+//!   The disaggregated decode side reuses it;
+//! * [`driver`] — the [`Cluster`]: a replica pool behind one router,
 //!   implementing [`serving::Deployment`] so a [`serving::ServeSession`]
 //!   drives it (arrival routing, per-replica iterations interleaved under
 //!   the session's global clock, drain/join scaling via the session's
-//!   timeline or legacy [`ScalingEvent`]s), merging all completion
-//!   records into one fleet-wide stream for [`metrics`].
+//!   timeline), merging all completion records into one fleet-wide
+//!   stream for [`metrics`].
 //!
 //! Run a cluster through the front door:
 //! `ServeSession::new(cluster).serve(&workload)` — or
-//! `serve_online(...)` for mid-run submission/scaling. The legacy batch
-//! `Cluster::run` remains as a deprecated, output-equivalent shim.
+//! `serve_online(...)` for mid-run submission/scaling.
 //!
 //! Replicas may be heterogeneous: each engine carries its own
 //! [`serving::SystemConfig`], so one fleet can mix A100 and H100 profiles
@@ -35,13 +38,12 @@
 //! on the slowest replica.
 
 pub mod driver;
+pub mod pool;
 pub mod replica;
 pub mod router;
 
-pub use driver::{
-    accepting_or_all, max_baseline_ms, Cluster, ClusterRunResult, ReplicaResult, ScalingAction,
-    ScalingEvent,
-};
+pub use driver::{max_baseline_ms, Cluster, ScalingAction};
+pub use pool::{eligible_replicas, pooled_gauges, ReplicaPool};
 pub use replica::{InboundWork, Replica};
 pub use router::{
     two_phase_pick, JoinShortestQueue, LeastOutstanding, PrefixAffinity, RoundRobin, Router,

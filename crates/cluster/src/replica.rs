@@ -2,9 +2,10 @@
 
 use metrics::telemetry::Tracer;
 use serving::{
-    finalize_run, trace_replica, DeploymentEvent, LifecycleTracker, Pool, ProbeState, ReplicaAddr,
-    RunError, RunOptions, RunResult, ServingEngine, StallGuard, StepProbe,
+    finalize_run, trace_replica, DeploymentEvent, LifecycleTracker, LiveRequest, Pool, ProbeState,
+    ReplicaAddr, RunError, RunOptions, RunResult, ServingEngine, StallGuard, StepProbe,
 };
+use std::collections::VecDeque;
 
 /// Fraction of a baseline decode step attributed to one *prefill* token in
 /// the load model (prefill processes hundreds of tokens per forward pass,
@@ -30,6 +31,26 @@ pub struct InboundWork {
     /// [`Replica::tight_outstanding`] — and through it the SLO-aware
     /// packing policy — sees a tight burst before it lands.
     pub tpot_slos: Vec<f64>,
+}
+
+impl InboundWork {
+    /// Counts `req` as bound here from the moment it is routed.
+    pub fn add(&mut self, req: &LiveRequest) {
+        self.requests += 1;
+        self.decode_tokens += u64::from(req.remaining());
+        self.tpot_slos.push(req.spec.tpot_slo_ms);
+    }
+
+    /// Removes one unit of inbound work — `decode_tokens` output tokens
+    /// at TPOT SLO `tpot_slo_ms` — once it landed in the engine's queues
+    /// or was lost on the way.
+    pub fn remove(&mut self, decode_tokens: u64, tpot_slo_ms: f64) {
+        self.requests = self.requests.saturating_sub(1);
+        self.decode_tokens = self.decode_tokens.saturating_sub(decode_tokens);
+        if let Some(k) = self.tpot_slos.iter().position(|&s| s == tpot_slo_ms) {
+            self.tpot_slos.swap_remove(k);
+        }
+    }
 }
 
 /// A replica of the cluster: one serving engine advancing on its own local
@@ -62,6 +83,14 @@ pub struct Replica {
     pub routed: u64,
     /// Routed-but-not-yet-queued work (in-flight KV migrations).
     pub inbound: InboundWork,
+    /// Migrations that arrived while the engine's KV pool was full,
+    /// admitted in arrival order as blocks free up.
+    landing: VecDeque<LiveRequest>,
+    /// Whether KV migrations land here (the decode pool of a
+    /// disaggregated deployment). Such a replica stamps the decode start
+    /// of migrated requests itself; colocated replicas leave stamping to
+    /// their engine.
+    receives_migrations: bool,
     pub(crate) guard: StallGuard,
     /// Per-replica lifecycle announcements. Requests live on exactly one
     /// replica (migrations transfer their state via
@@ -102,6 +131,8 @@ impl Replica {
             latency_factor: 1.0,
             routed: 0,
             inbound: InboundWork::default(),
+            landing: VecDeque::new(),
+            receives_migrations: false,
             guard: StallGuard::default(),
             tracker: LifecycleTracker::default(),
             finished_seen: 0,
@@ -118,11 +149,11 @@ impl Replica {
     /// Scans this replica's core for newly due lifecycle events
     /// (admissions, first tokens, finished records) at the replica's
     /// current clock, appending them to `out`.
-    pub fn scan_lifecycle(&mut self, addr: ReplicaAddr, out: &mut Vec<DeploymentEvent>) {
+    fn scan_lifecycle(&mut self, out: &mut Vec<DeploymentEvent>) {
         let at_ms = self.clock_ms;
         self.tracker.scan_core(
             self.engine.core(),
-            addr,
+            ReplicaAddr::serving(self.id),
             at_ms,
             &mut self.finished_seen,
             out,
@@ -153,57 +184,89 @@ impl Replica {
         finalize_run(self.engine.as_mut(), self.clock_ms)
     }
 
-    /// One checked engine iteration: step, enforce the run caps, scan
-    /// lifecycle events — the single body **both** sequential stepping
-    /// ([`crate::Cluster`]'s `step`) and parallel batch stepping
+    /// Hands a migrated request (prefill done, KV resident) to this
+    /// replica. It joins the engine's batch at once if the KV pool can
+    /// hold it, and otherwise parks behind earlier arrivals until
+    /// finished requests free blocks. Returns whether it parked.
+    pub fn land(&mut self, req: LiveRequest) -> bool {
+        self.receives_migrations = true;
+        self.landing.push_back(req);
+        self.drain_landing();
+        !self.landing.is_empty()
+    }
+
+    /// The request at the head of the landing queue, if a migration is
+    /// parked here.
+    pub fn parked_request(&self) -> Option<u64> {
+        self.landing.front().map(|r| r.spec.id)
+    }
+
+    /// Admits parked migrations in arrival order while they fit. An
+    /// admitted request leaves the inbound view: the engine's own queues
+    /// carry it from here.
+    fn drain_landing(&mut self) {
+        while let Some(req) = self.landing.pop_front() {
+            let (tokens, slo) = (u64::from(req.remaining()), req.spec.tpot_slo_ms);
+            if let Err(req) = self.engine.core_mut().admit_migrated(req) {
+                self.landing.push_front(req);
+                break;
+            }
+            self.inbound.remove(tokens, slo);
+        }
+    }
+
+    /// One checked engine iteration: step, enforce the run caps, land
+    /// parked migrations, scan lifecycle events. The single body both
+    /// sequential stepping and sharded batch stepping
     /// ([`Replica::run_until`]) execute, so the two modes cannot diverge.
     pub fn step_checked(
         &mut self,
-        addr: ReplicaAddr,
         options: &RunOptions,
         events: &mut Vec<DeploymentEvent>,
     ) -> Result<f64, RunError> {
+        if self.receives_migrations {
+            // Migrated requests sitting in the batch are stamped at the
+            // iteration's start clock: the colocated meaning of
+            // `decode_start_ms`, which engines whose own stamping assumes
+            // a local prefill pass cannot provide for them.
+            self.engine.core_mut().stamp_decode_starts(self.clock_ms);
+        }
         let latency_ms = self.step_once()?;
         if self.engine.core().iterations > options.max_iterations {
-            return Err(RunError::iteration_cap().at(addr.pool, addr.index));
+            return Err(RunError::iteration_cap().at(Pool::Decode, self.id));
         }
         if self.clock_ms > options.max_sim_ms {
-            return Err(RunError::time_cap().at(addr.pool, addr.index));
+            return Err(RunError::time_cap().at(Pool::Decode, self.id));
         }
-        self.scan_lifecycle(addr, events);
+        self.drain_landing();
+        self.scan_lifecycle(events);
         Ok(latency_ms)
     }
 
     /// Steps this replica until its clock reaches `horizon_ms` or it runs
-    /// out of work, enforcing the run caps after every iteration and
-    /// appending lifecycle events (scanned at each iteration's end clock,
-    /// exactly as sequential stepping would) to `events`.
+    /// out of work, appending lifecycle events (scanned at each
+    /// iteration's end clock, exactly as sequential stepping would) to
+    /// `events`.
     ///
-    /// This is the per-replica body of parallel batch stepping: replicas
+    /// This is the per-replica body of sharded batch stepping: replicas
     /// do not interact between external events, so running each to the
     /// horizon on its own worker thread reproduces the sequential
     /// interleaving's per-replica state bit for bit.
     pub fn run_until(
         &mut self,
-        addr: ReplicaAddr,
         horizon_ms: f64,
         options: &RunOptions,
         events: &mut Vec<DeploymentEvent>,
     ) -> Result<(), RunError> {
         while self.has_work() && self.clock_ms < horizon_ms {
-            self.step_checked(addr, options, events)?;
+            self.step_checked(options, events)?;
         }
         Ok(())
     }
 
     /// Executes one engine iteration at the replica's local clock, feeding
     /// the stall guard and advancing the clock by the iteration's latency.
-    ///
-    /// Returns the iteration latency. Both the [`crate::Cluster`] driver
-    /// and external drivers that interleave replicas under their own global
-    /// clock (the disaggregated decode pool) step replicas through this one
-    /// method so stall detection and clock bookkeeping cannot diverge.
-    pub fn step_once(&mut self) -> Result<f64, RunError> {
+    fn step_once(&mut self) -> Result<f64, RunError> {
         let probe = StepProbe::begin(&self.tracer, self.engine.core());
         let step = self.engine.step(self.clock_ms);
         // An injected slowdown stretches the modelled iteration latency.
@@ -226,18 +289,30 @@ impl Replica {
         Ok(latency_ms)
     }
 
+    /// Accepts a routed arrival into the engine's waiting queue at
+    /// `now_ms`.
+    pub fn submit(&mut self, spec: workload::RequestSpec, now_ms: f64) {
+        self.engine.core_mut().on_arrival(spec);
+        self.clock_ms = self.clock_ms.max(now_ms);
+        self.routed += 1;
+    }
+
     /// Crash semantics for fault injection: every request this replica
-    /// holds loses its KV and is returned to the caller (the front door
-    /// decides retry vs. reject), the replica's lifecycle memory of them
-    /// is dropped (a retried request re-announces itself), and the
-    /// replica is marked down until [`Replica::recover`].
+    /// holds — in the engine or parked on the landing queue — loses its
+    /// KV and is returned to the caller (the front door decides retry vs.
+    /// reject), the replica's lifecycle memory of them is dropped (a
+    /// retried request re-announces itself), and the replica is marked
+    /// down until [`Replica::recover`]. Inbound work is cleared too: the
+    /// caller aborts whatever was still on the wire toward it.
     pub fn crash(&mut self, now_ms: f64) -> Vec<workload::RequestSpec> {
         self.down = true;
         self.clock_ms = self.clock_ms.max(now_ms);
-        let lost = self.engine.core_mut().evict_all_for_crash();
+        let mut lost = self.engine.core_mut().evict_all_for_crash();
+        lost.extend(self.landing.drain(..).map(|req| req.spec));
         for spec in &lost {
             self.tracker.forget(spec.id);
         }
+        self.inbound = InboundWork::default();
         lost
     }
 

@@ -5,15 +5,16 @@
 //!   replica count, engine mix or drain/join events; the merge loses and
 //!   duplicates nothing.
 //! * **Determinism** — a cluster run is a pure function of (workload,
-//!   fleet, router, events): repeating it reproduces identical merged
+//!   fleet, router, scaling plan): repeating it reproduces identical merged
 //!   records.
 
 use adaserve_core::AdaServeEngine;
 use baselines::{SarathiEngine, VllmEngine};
-use cluster::{Cluster, RouterKind, ScalingAction, ScalingEvent};
+use cluster::{Cluster, RouterKind, ScalingAction};
 use proptest::prelude::*;
 use serving::{
-    ExecMode, ReplicaAddr, RunOptions, RunReport, ServeSession, ServingEngine, SystemConfig,
+    ExecMode, ReplicaAddr, RunOptions, RunReport, ScalePlan, ServeSession, ServingEngine,
+    SystemConfig,
 };
 use workload::{Category, RequestSpec, Workload};
 
@@ -33,6 +34,23 @@ fn fleet(n: usize, seed: u64) -> Vec<Box<dyn ServingEngine>> {
             }
         })
         .collect()
+}
+
+/// Drain replica `index` at `at_ms` and join it back at twice that.
+fn drain_then_join(index: usize, at_ms: f64) -> Vec<ScalePlan> {
+    let replica = ReplicaAddr::serving(index);
+    vec![
+        ScalePlan {
+            at_ms,
+            replica,
+            action: ScalingAction::Drain,
+        },
+        ScalePlan {
+            at_ms: at_ms * 2.0,
+            replica,
+            action: ScalingAction::Join,
+        },
+    ]
 }
 
 /// Small synthetic workload derived from a seed (kept tiny: each proptest
@@ -70,14 +88,14 @@ fn run_cluster(
     n_requests: u64,
     n_replicas: usize,
     router: RouterKind,
-    events: Vec<ScalingEvent>,
+    plans: Vec<ScalePlan>,
 ) -> RunReport {
     run_cluster_stepping(
         seed,
         n_requests,
         n_replicas,
         router,
-        events,
+        plans,
         ExecMode::default(),
     )
 }
@@ -87,15 +105,16 @@ fn run_cluster_stepping(
     n_requests: u64,
     n_replicas: usize,
     router: RouterKind,
-    events: Vec<ScalingEvent>,
+    plans: Vec<ScalePlan>,
     mode: ExecMode,
 ) -> RunReport {
     let mut session = ServeSession::with_options(
-        Cluster::new(fleet(n_replicas, seed), router.build()).with_exec_mode(mode),
+        Cluster::new(fleet(n_replicas, seed), router.build()),
         RunOptions::default(),
-    );
-    for e in events {
-        session.scale_at(e.at_ms, ReplicaAddr::serving(e.replica), e.action);
+    )
+    .with_exec_mode(mode);
+    for p in plans {
+        session.scale_at(p.at_ms, p.replica, p.action);
     }
     session
         .serve(&workload(seed, n_requests))
@@ -143,11 +162,8 @@ proptest! {
         n_requests in 2u64..20,
         drain_at in 1.0f64..400.0,
     ) {
-        let events = vec![
-            ScalingEvent { at_ms: drain_at, replica: 0, action: ScalingAction::Drain },
-            ScalingEvent { at_ms: drain_at * 2.0, replica: 0, action: ScalingAction::Join },
-        ];
-        let result = run_cluster(seed, n_requests, 3, RouterKind::SloAware, events);
+        let plans = drain_then_join(0, drain_at);
+        let result = run_cluster(seed, n_requests, 3, RouterKind::SloAware, plans);
         prop_assert_eq!(result.records.len() as u64, n_requests);
         let mut ids: Vec<u64> = result.records.iter().map(|r| r.id).collect();
         ids.sort_unstable();
@@ -191,28 +207,17 @@ proptest! {
         // Some(16) exceeds every fleet shape: empty shards must steal.
         let workers = [None, Some(1), Some(2), Some(16)][workers_index];
         let router = RouterKind::ALL[router_index];
-        let events = if with_scaling {
-            vec![
-                ScalingEvent {
-                    at_ms: drain_at,
-                    replica: n_replicas - 1,
-                    action: ScalingAction::Drain,
-                },
-                ScalingEvent {
-                    at_ms: drain_at * 2.0,
-                    replica: n_replicas - 1,
-                    action: ScalingAction::Join,
-                },
-            ]
+        let plans = if with_scaling {
+            drain_then_join(n_replicas - 1, drain_at)
         } else {
             Vec::new()
         };
         let par = run_cluster_stepping(
-            seed, n_requests, n_replicas, router, events.clone(),
+            seed, n_requests, n_replicas, router, plans.clone(),
             ExecMode::Sharded { workers },
         );
         let seq = run_cluster_stepping(
-            seed, n_requests, n_replicas, router, events, ExecMode::Sequential,
+            seed, n_requests, n_replicas, router, plans, ExecMode::Sequential,
         );
         prop_assert_eq!(par.records, seq.records, "records byte-identical");
         prop_assert_eq!(par.end_ms, seq.end_ms);

@@ -481,8 +481,7 @@ mod tests {
     use serving::{Colocated, RunOptions, RunReport, ServeSession, ServingEngine};
     use workload::{Category, RequestSpec, Workload, WorkloadBuilder};
 
-    /// Front-door drive of one engine (replaces the deprecated
-    /// `serving::run`).
+    /// Front-door drive of one engine.
     fn run(engine: &mut dyn ServingEngine, wl: &Workload, options: RunOptions) -> RunReport {
         ServeSession::with_options(Colocated::borrowed(engine), options)
             .serve(wl)

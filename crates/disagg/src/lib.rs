@@ -21,16 +21,17 @@
 //!   when one is warm and unsaturated), then handoff to the decode-side
 //!   router (any [`cluster::Router`]) carrying the request's *remaining*
 //!   TPOT budget;
-//! * [`driver`] — the [`DisaggCluster`]: both pools under one global
+//! * [`driver`] — the [`DisaggCluster`]: the prefill pool, a decode-side
+//!   [`cluster::ReplicaPool`] and the [`TransferQueue`] under one global
 //!   clock, implementing [`serving::Deployment`] so the same
 //!   [`serving::ServeSession`] front door that drives colocated and
 //!   cluster deployments drives this one (drain/join scaling on either
 //!   pool via the session's timeline, completion records merged into one
-//!   stream via [`metrics`]). The legacy batch `DisaggCluster::run`
-//!   remains as a deprecated, output-equivalent shim.
+//!   stream via [`metrics`]).
 //!
 //! Decode replicas are ordinary [`cluster::Replica`]s wrapping any
-//! [`serving::ServingEngine`] (AdaServe's SCSD decode, or a baseline), so
+//! [`serving::ServingEngine`] (AdaServe's SCSD decode, or a baseline) —
+//! migrations land on each replica's own landing queue — so
 //! colocated and disaggregated deployments of the *same* engines compare
 //! apples-to-apples at equal aggregate hardware — the `fig_disagg_sweep`
 //! bench binary sweeps pool split × request rate × link bandwidth against
@@ -42,8 +43,6 @@ pub mod migrate;
 pub mod prefill;
 
 pub use dispatch::Dispatcher;
-pub use driver::{
-    DisaggCluster, DisaggRunResult, DisaggScalingEvent, Pool, PrefillStats, ScalingAction,
-};
+pub use driver::{DisaggCluster, Pool, ScalingAction};
 pub use migrate::{KvLink, KvTransfer, TransferQueue, TransferStats};
 pub use prefill::{PrefillPool, PrefillReplica};

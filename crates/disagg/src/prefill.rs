@@ -257,11 +257,11 @@ impl PrefillPool {
         }
     }
 
-    /// Indices of replicas currently accepting arrivals; falls back to all
-    /// replicas when the whole pool is draining (degrade, don't drop).
-    /// Down (crashed) replicas are never eligible targets.
+    /// Indices of replicas currently accepting arrivals; when the whole
+    /// pool is draining, falls back to the replicas that are up (degrade,
+    /// don't drop), and only to every replica when none is up.
     pub fn eligible(&self) -> Vec<usize> {
-        cluster::accepting_or_all(self.replicas.iter().map(|r| r.accepting && !r.down))
+        cluster::eligible_replicas(self.replicas.iter().map(|r| (r.accepting, !r.down)))
     }
 }
 
@@ -350,5 +350,9 @@ mod tests {
         assert_eq!(pool.eligible(), vec![1]);
         pool.replicas[1].accepting = false;
         assert_eq!(pool.eligible(), vec![0, 1], "whole pool draining");
+        pool.replicas[1].down = true;
+        assert_eq!(pool.eligible(), vec![0], "never a crashed replica");
+        pool.replicas[0].down = true;
+        assert_eq!(pool.eligible(), vec![0, 1], "nothing up");
     }
 }

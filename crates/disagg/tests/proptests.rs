@@ -6,16 +6,16 @@
 //!   token is lost or duplicated across the migration boundary, regardless
 //!   of pool split, link bandwidth or drain/join events.
 //! * **Determinism** — a disaggregated run is a pure function of
-//!   (workload, pools, dispatcher, link, events); with the workload seed
+//!   (workload, pools, dispatcher, link, scaling plan); with the workload seed
 //!   resolved through `ADASERVE_SEED` (the repo-wide convention), two runs
 //!   reproduce bit-identically.
 
 use cluster::RouterKind;
-use disagg::{
-    DisaggCluster, DisaggScalingEvent, Dispatcher, KvLink, Pool, PrefillPool, ScalingAction,
-};
+use disagg::{DisaggCluster, Dispatcher, KvLink, Pool, PrefillPool, ScalingAction};
 use proptest::prelude::*;
-use serving::{ExecMode, ReplicaAddr, ServeSession, ServingEngine, SystemConfig, UnitStats};
+use serving::{
+    ExecMode, ReplicaAddr, ScalePlan, ServeSession, ServingEngine, SystemConfig, UnitStats,
+};
 use workload::{Category, RequestSpec, Workload};
 
 /// Small synthetic workload derived from a seed (each case is a full
@@ -48,8 +48,7 @@ fn workload(seed: u64, n_requests: u64) -> Workload {
     }
 }
 
-/// The front-door run outcome plus the migration telemetry the legacy
-/// `DisaggRunResult` carried inline.
+/// The front-door run outcome plus the cluster's migration telemetry.
 struct DisaggOutcome {
     records: Vec<metrics::RequestRecord>,
     per_prefill: Vec<UnitStats>,
@@ -65,7 +64,7 @@ fn run_disagg(
     n_prefill: usize,
     n_decode: usize,
     bandwidth_gbps: f64,
-    events: Vec<DisaggScalingEvent>,
+    plans: Vec<ScalePlan>,
 ) -> DisaggOutcome {
     run_disagg_stepping(
         seed,
@@ -73,9 +72,25 @@ fn run_disagg(
         n_prefill,
         n_decode,
         bandwidth_gbps,
-        events,
+        plans,
         ExecMode::default(),
     )
+}
+
+/// Drain `replica` at `at_ms` and join it back at twice that.
+fn drain_then_join(replica: ReplicaAddr, at_ms: f64) -> Vec<ScalePlan> {
+    vec![
+        ScalePlan {
+            at_ms,
+            replica,
+            action: ScalingAction::Drain,
+        },
+        ScalePlan {
+            at_ms: at_ms * 2.0,
+            replica,
+            action: ScalingAction::Join,
+        },
+    ]
 }
 
 fn run_disagg_stepping(
@@ -84,7 +99,7 @@ fn run_disagg_stepping(
     n_prefill: usize,
     n_decode: usize,
     bandwidth_gbps: f64,
-    events: Vec<DisaggScalingEvent>,
+    plans: Vec<ScalePlan>,
     mode: ExecMode,
 ) -> DisaggOutcome {
     let prefill = PrefillPool::new(vec![SystemConfig::llama70b(seed); n_prefill]);
@@ -100,18 +115,10 @@ fn run_disagg_stepping(
         decode,
         Dispatcher::new(RouterKind::SloAware.build()),
         KvLink::new(bandwidth_gbps, 0.05),
-    )
-    .with_exec_mode(mode);
-    let mut session = ServeSession::new(cluster);
-    for e in events {
-        session.scale_at(
-            e.at_ms,
-            ReplicaAddr {
-                pool: e.pool,
-                index: e.replica,
-            },
-            e.action,
-        );
+    );
+    let mut session = ServeSession::new(cluster).with_exec_mode(mode);
+    for p in plans {
+        session.scale_at(p.at_ms, p.replica, p.action);
     }
     let report = session
         .serve(&workload(seed, n_requests))
@@ -184,14 +191,8 @@ proptest! {
         drain_at in 1.0f64..300.0,
         drain_decode in any::<bool>(),
     ) {
-        let pool = if drain_decode { Pool::Decode } else { Pool::Prefill };
-        let events = vec![
-            DisaggScalingEvent { at_ms: drain_at, pool, replica: 0, action: ScalingAction::Drain },
-            DisaggScalingEvent {
-                at_ms: drain_at * 2.0, pool, replica: 0, action: ScalingAction::Join,
-            },
-        ];
-        let result = run_disagg(seed, n_requests, 2, 2, 64.0, events);
+        let replica = if drain_decode { ReplicaAddr::serving(0) } else { ReplicaAddr::prefill(0) };
+        let result = run_disagg(seed, n_requests, 2, 2, 64.0, drain_then_join(replica, drain_at));
         prop_assert_eq!(result.records.len() as u64, n_requests);
         let mut ids: Vec<u64> = result.records.iter().map(|r| r.id).collect();
         ids.sort_unstable();
@@ -242,30 +243,17 @@ proptest! {
         let n_decode = [1usize, 2, 3][shape_index];
         // Some(16) exceeds every decode-pool shape: empty shards steal.
         let workers = [None, Some(1), Some(2), Some(16)][workers_index];
-        let events = if with_scaling {
-            vec![
-                DisaggScalingEvent {
-                    at_ms: drain_at,
-                    pool: Pool::Decode,
-                    replica: n_decode - 1,
-                    action: ScalingAction::Drain,
-                },
-                DisaggScalingEvent {
-                    at_ms: drain_at * 2.0,
-                    pool: Pool::Decode,
-                    replica: n_decode - 1,
-                    action: ScalingAction::Join,
-                },
-            ]
+        let plans = if with_scaling {
+            drain_then_join(ReplicaAddr::serving(n_decode - 1), drain_at)
         } else {
             Vec::new()
         };
         let par = run_disagg_stepping(
-            seed, n_requests, n_prefill, n_decode, bandwidth, events.clone(),
+            seed, n_requests, n_prefill, n_decode, bandwidth, plans.clone(),
             ExecMode::Sharded { workers },
         );
         let seq = run_disagg_stepping(
-            seed, n_requests, n_prefill, n_decode, bandwidth, events, ExecMode::Sequential,
+            seed, n_requests, n_prefill, n_decode, bandwidth, plans, ExecMode::Sequential,
         );
         prop_assert_eq!(par.records, seq.records, "records byte-identical");
         prop_assert_eq!(par.end_ms, seq.end_ms);

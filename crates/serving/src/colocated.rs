@@ -8,8 +8,8 @@ use crate::session::{Deployment, DeploymentStep, LifecycleTracker, ReplicaAddr, 
 use metrics::telemetry::{GaugeSample, Tracer};
 use workload::RequestSpec;
 
-/// How the deployment holds its engine: owned for front-door callers,
-/// borrowed for the legacy `run(&mut dyn ServingEngine, …)` shim.
+/// How the deployment holds its engine: owned, or borrowed from a caller
+/// that inspects the engine after the run.
 enum EngineSlot<'a> {
     Owned(Box<dyn ServingEngine>),
     Borrowed(&'a mut dyn ServingEngine),
@@ -26,9 +26,7 @@ impl std::fmt::Debug for EngineSlot<'_> {
 }
 
 /// A single [`ServingEngine`] (AdaServe or any baseline) wrapped as a
-/// [`Deployment`]: the simplest shape a [`crate::ServeSession`] drives,
-/// equivalent to — and the replacement for — the legacy single-engine
-/// [`crate::engine::run`] driver.
+/// [`Deployment`]: the simplest shape a [`crate::ServeSession`] drives.
 #[derive(Debug)]
 pub struct Colocated<'a> {
     engine: EngineSlot<'a>,
@@ -50,8 +48,8 @@ impl<'a> Colocated<'a> {
         Self::from_slot(EngineSlot::Owned(engine))
     }
 
-    /// Wraps a borrowed engine (the legacy-shim path; callers that still
-    /// own the engine afterwards can inspect it).
+    /// Wraps a borrowed engine, so the caller can inspect it after the
+    /// run.
     pub fn borrowed(engine: &'a mut dyn ServingEngine) -> Self {
         Self::from_slot(EngineSlot::Borrowed(engine))
     }
@@ -230,14 +228,12 @@ impl Deployment for Colocated<'_> {
         self.engine_mut().core_mut().degraded = degraded;
     }
 
+    /// Any address but `serving(0)` names no replica: a no-op.
     fn set_accepting(&mut self, replica: ReplicaAddr, accepting: bool, now_ms: f64) {
-        assert_eq!(
-            replica,
-            ReplicaAddr::serving(0),
-            "colocated deployments have one serving replica"
-        );
-        self.accepting = accepting;
-        self.clock_ms = self.clock_ms.max(now_ms);
+        if replica == ReplicaAddr::serving(0) {
+            self.accepting = accepting;
+            self.clock_ms = self.clock_ms.max(now_ms);
+        }
     }
 
     fn iterations(&self) -> u64 {

@@ -1,17 +1,17 @@
-//! The [`ServingEngine`] trait and the discrete-event driver.
+//! The [`ServingEngine`] trait, run caps and run errors.
 //!
 //! Engines advance in *iterations*: each [`ServingEngine::step`] plans one
 //! device iteration (admission, prefill, speculation, verification — however
 //! the engine's policy composes them), applies its results against the
-//! synthetic models and returns the iteration's modelled latency. The driver
-//! owns the simulation clock: it injects arrivals whose timestamps have
-//! passed, invokes `step`, and advances time by the returned latency —
-//! exactly the continuous-batching execution model (iteration-granularity
-//! scheduling, §2).
+//! synthetic models and returns the iteration's modelled latency. The
+//! driver ([`crate::ServeSession`] over a [`crate::Deployment`]) owns the
+//! simulation clock: it injects arrivals whose timestamps have passed,
+//! invokes `step`, and advances time by the returned latency — exactly the
+//! continuous-batching execution model (iteration-granularity scheduling,
+//! §2).
 
 use crate::core::EngineCore;
 use metrics::{HotLoopStats, LatencyBreakdown, RequestRecord};
-use workload::Workload;
 
 /// Result of one engine iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,9 +50,9 @@ pub struct RunOptions {
     /// Hard cap on iterations.
     pub max_iterations: u64,
     /// How multi-replica deployments execute batched replica stepping
-    /// (see [`crate::exec::ExecMode`]); deployments may override it with
-    /// their own `with_exec_mode` builder. Output is record-identical
-    /// across modes.
+    /// (see [`crate::exec::ExecMode`]); set it with
+    /// [`crate::ServeSession::with_exec_mode`]. Output is
+    /// record-identical across modes.
     pub exec: crate::exec::ExecMode,
 }
 
@@ -255,10 +255,10 @@ impl std::error::Error for RunError {}
 
 /// Detects engines that stop making progress.
 ///
-/// Both the single-engine [`run`] driver and external drivers that
-/// interleave several engines under one clock (the `cluster` crate) feed
-/// every step latency through a guard; a long run of zero-latency steps
-/// while work remains means the engine's policy is stuck.
+/// Every deployment — [`crate::Colocated`] and the replicas of the
+/// `cluster` crate — feeds each step latency through a guard; a long run
+/// of zero-latency steps while work remains means the engine's policy is
+/// stuck.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StallGuard {
     zero_steps: u32,
@@ -287,8 +287,7 @@ impl StallGuard {
 ///
 /// Drains the completion records, snapshots the breakdown and iteration
 /// count, and computes the run-wide mean accepted-per-verify. Called by
-/// [`run`] at the end of a single-engine run and by multi-engine drivers
-/// for each replica once the cluster-wide clock stops.
+/// every deployment for each replica when its run drains.
 pub fn finalize_run(engine: &mut dyn ServingEngine, end_ms: f64) -> RunResult {
     let name = engine.name();
     let core = engine.core_mut();
@@ -345,61 +344,15 @@ impl RunResult {
     }
 }
 
-/// Serves `workload` to completion on `engine`.
-///
-/// Arrivals are injected when the clock passes their timestamps; when the
-/// engine is idle the clock jumps to the next arrival. Returns an error only
-/// if a hard cap is hit (misbehaving engine).
-///
-/// # Deprecated
-///
-/// This is now a thin shim over the unified front door — a
-/// [`crate::ServeSession`] driving a [`crate::Colocated`] deployment —
-/// which additionally supports mid-run submission, scaling and per-request
-/// lifecycle events. Output is byte-identical to the pre-shim driver (see
-/// `tests/output_equivalence.rs`). Migrate by wrapping the same engine:
-///
-/// ```
-/// use serving::{Colocated, RunError, RunOptions, RunReport, ServeSession, ServingEngine};
-/// use workload::Workload;
-///
-/// // before: serving::run(engine, workload, options)?
-/// fn migrated(
-///     engine: &mut dyn ServingEngine,
-///     workload: &Workload,
-///     options: RunOptions,
-/// ) -> Result<RunReport, RunError> {
-///     ServeSession::with_options(Colocated::borrowed(engine), options).serve(workload)
-/// }
-/// ```
-///
-/// [`RunReport::into_colocated_result`](crate::RunReport::into_colocated_result)
-/// recovers the old [`RunResult`] shape where callers still need it.
-#[deprecated(note = "drive a `ServeSession` over a `Colocated` deployment instead")]
-pub fn run(
-    engine: &mut dyn ServingEngine,
-    workload: &Workload,
-    options: RunOptions,
-) -> Result<RunResult, RunError> {
-    let mut session = crate::session::ServeSession::with_options(
-        crate::colocated::Colocated::borrowed(engine),
-        options,
-    )
-    .admission_control(false);
-    Ok(session.serve(workload)?.into_colocated_result())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::colocated::Colocated;
     use crate::config::SystemConfig;
     use crate::session::{RunReport, ServeSession};
-    use workload::{Category, RequestSpec};
+    use workload::{Category, RequestSpec, Workload};
 
-    /// Front-door drive of a single engine (what the deprecated [`run`]
-    /// shims over; the shim itself is pinned in the workspace's
-    /// `tests/output_equivalence.rs`).
+    /// Front-door drive of a single engine.
     fn serve(
         engine: &mut dyn ServingEngine,
         workload: &Workload,
@@ -541,6 +494,20 @@ mod tests {
             "iterations = {}",
             result.iterations
         );
+    }
+
+    #[test]
+    fn colocated_scaling_of_an_unknown_replica_is_a_no_op() {
+        let mut engine = NaiveEngine::new();
+        let wl = tiny_workload(4);
+        let mut session = ServeSession::new(Colocated::borrowed(&mut engine));
+        session.scale_at(
+            5.0,
+            crate::ReplicaAddr::serving(99),
+            crate::ScalingAction::Drain,
+        );
+        let report = session.serve(&wl).expect("run succeeds");
+        assert_eq!(report.records.len(), 4);
     }
 
     #[test]

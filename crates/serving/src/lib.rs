@@ -28,9 +28,9 @@
 //! loop drives them all **online**: requests are submitted at their
 //! arrival times (open-loop from a workload, or mid-run from a client
 //! hook), surfaced as per-request [`session::DeploymentEvent`]s, and
-//! finalized into one [`session::RunReport`]. The legacy batch entry
-//! points (`serving::run`, `Cluster::run`, `DisaggCluster::run`) remain
-//! as deprecated, output-equivalent shims over it.
+//! finalized into one [`session::RunReport`]. The session also picks how
+//! multi-replica deployments step ([`exec::ExecMode`], via
+//! [`session::ServeSession::with_exec_mode`]).
 //!
 //! GPU passes are *timed* by the roofline model but their *results* (which
 //! tokens get generated/accepted) come from real computation against the
@@ -55,8 +55,6 @@ pub mod swap;
 pub use colocated::Colocated;
 pub use config::SystemConfig;
 pub use core::EngineCore;
-#[allow(deprecated)]
-pub use engine::run;
 pub use engine::{
     finalize_run, ErrorSite, Pool, RunError, RunErrorKind, RunOptions, RunResult, ServingEngine,
     StallGuard, StepResult,

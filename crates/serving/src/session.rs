@@ -1,11 +1,7 @@
 //! The unified serving front door: the [`Deployment`] trait and the
-//! online [`ServeSession`] driver.
-//!
-//! Before this module, every deployment shape had its own entry point —
-//! `serving::run`, `cluster::Cluster::run`, `disagg::DisaggCluster::run` —
-//! each re-wiring the same event loop (global clock, stall guard, run
-//! caps, scaling events, report plumbing) with its own result type. The
-//! front door collapses them:
+//! online [`ServeSession`] driver. One event loop (global clock, stall
+//! guard, run caps, scaling and fault timelines, report plumbing) serves
+//! every deployment shape:
 //!
 //! * a [`Deployment`] is anything that can accept requests and advance
 //!   its own machinery event by event — a single colocated engine
@@ -21,9 +17,6 @@
 //!   (`Admitted`, `FirstToken`, `Finished`, `Rejected`) and the run
 //!   finalizes into one [`RunReport`] with per-replica/pool
 //!   [`UnitStats`], regardless of topology.
-//!
-//! The legacy entry points remain as deprecated shims over this module
-//! and are verified output-equivalent by `tests/output_equivalence.rs`.
 
 use crate::core::EngineCore;
 use crate::engine::{Pool, RunError, RunOptions, RunResult, StallGuard};
@@ -216,8 +209,7 @@ pub struct DeploymentStep {
     pub latency_ms: Option<f64>,
     /// The replica that iterated, when one did. The session keys its
     /// progress guards on this so a zero-latency run on one replica is
-    /// never conflated with (or reset by) its peers' steps — the same
-    /// per-replica stall semantics the legacy drivers had.
+    /// never conflated with (or reset by) its peers' steps.
     pub replica: Option<ReplicaAddr>,
 }
 
@@ -227,8 +219,7 @@ pub struct DeploymentStep {
 /// per-replica clocks, KV migration, …); the session owns the global
 /// event loop — arrival injection, the scaling timeline, run caps and a
 /// progress guard. Event ordering at equal timestamps is: scaling, then
-/// arrivals, then internal steps — the contract the legacy per-topology
-/// drivers shared.
+/// arrivals, then internal steps.
 pub trait Deployment {
     /// Display label for reports (engine name, router name, …).
     fn name(&self) -> String;
@@ -263,8 +254,7 @@ pub trait Deployment {
 
     /// Advances the earliest due internal event (one engine iteration,
     /// KV-transfer landing, …), enforcing the caps in `options` with the
-    /// deployment's native granularity (per-replica, as the legacy
-    /// drivers did).
+    /// deployment's native granularity (per replica).
     fn step(&mut self, options: &RunOptions) -> Result<DeploymentStep, RunError>;
 
     /// Advances internal machinery up to (but never past) `horizon_ms` —
@@ -288,11 +278,8 @@ pub trait Deployment {
         self.step(options)
     }
 
-    /// Toggles whether `replica` accepts new work (drain/join).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` does not exist in this deployment.
+    /// Toggles whether `replica` accepts new work (drain/join). An
+    /// address the deployment lacks is a no-op, as for faults.
     fn set_accepting(&mut self, replica: ReplicaAddr, accepting: bool, now_ms: f64);
 
     /// Iterations executed across all replicas so far.
@@ -456,10 +443,8 @@ impl UnitStats {
 
 /// Outcome of one [`ServeSession`] run, regardless of deployment shape.
 ///
-/// Collapses the legacy `RunResult` / `ClusterRunResult` /
-/// `DisaggRunResult` trio: the merged record stream, per-replica/pool
-/// [`UnitStats`], any front-door rejections, and accessors for the
-/// standard reports.
+/// The merged record stream, per-replica/pool [`UnitStats`], any
+/// front-door rejections, and accessors for the standard reports.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Deployment label ([`Deployment::name`]).
@@ -534,7 +519,7 @@ impl RunReport {
         }
     }
 
-    /// Unwraps a single-engine run back into the legacy [`RunResult`].
+    /// Unwraps a single-engine run into its engine's [`RunResult`].
     ///
     /// # Panics
     ///
@@ -596,8 +581,7 @@ impl SessionHandle {
 /// with [`ServeSession::serve`] (a [`Workload`]'s arrivals at their
 /// timestamps) or online with [`ServeSession::serve_online`] (a client
 /// hook that observes [`DeploymentEvent`]s and may submit follow-up
-/// requests or scaling mid-run — traffic the batch-oriented legacy
-/// `run(&workload)` contract could not express).
+/// requests or scaling mid-run).
 #[derive(Debug)]
 pub struct ServeSession<D: Deployment> {
     deployment: D,
@@ -639,7 +623,7 @@ pub struct ServeSession<D: Deployment> {
     /// The fault timeline: injections and their scheduled recoveries,
     /// sorted by time (like `scaling`). Empty unless
     /// [`ServeSession::with_fault_plan`] was called, so fault-free runs
-    /// take the exact legacy path.
+    /// take the exact fault-free path.
     faults: VecDeque<FaultAction>,
     /// What happens to requests lost to faults.
     recovery: RecoveryPolicy,
@@ -787,9 +771,8 @@ impl<D: Deployment> ServeSession<D> {
     }
 
     /// Enables/disables front-door admission control (rejecting prompts
-    /// that can never fit any replica's KV pool). On by default; the
-    /// legacy shims disable it to preserve their original error-path
-    /// behavior.
+    /// that can never fit any replica's KV pool). On by default; with it
+    /// off, such a prompt surfaces as a [`RunError`] instead.
     #[must_use]
     pub fn admission_control(mut self, enabled: bool) -> Self {
         self.admission_control = enabled;
@@ -798,9 +781,7 @@ impl<D: Deployment> ServeSession<D> {
 
     /// Selects how the deployment executes batched replica stepping (see
     /// [`crate::exec::ExecMode`]); defaults to auto-sharded. Output is
-    /// record-identical across modes. A deployment-level `with_exec_mode`
-    /// override (on `Cluster`/`DisaggCluster`) takes precedence over this
-    /// session-level setting.
+    /// record-identical across modes.
     #[must_use]
     pub fn with_exec_mode(mut self, exec: crate::exec::ExecMode) -> Self {
         self.options.exec = exec;

@@ -5,7 +5,8 @@
 //! number of accepted tokens per verification should land in the 2.5–3.5
 //! range reported for same-family Llama/Qwen draft pairs (paper Fig. 12 and
 //! the vLLM-Spec baselines). This module measures those statistics directly
-//! on a [`ModelPair`] so tests (and the DESIGN.md claims) are checkable.
+//! on a [`ModelPair`] so tests can check them (the model pair is described
+//! in `docs/ARCHITECTURE.md`).
 
 use crate::lm::{ContentClass, Lm, LmContext};
 use crate::sampler::sample_seeded;

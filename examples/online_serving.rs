@@ -1,8 +1,8 @@
 //! Online serving: closed-loop multi-turn chat through the unified
 //! `ServeSession` front door.
 //!
-//! This scenario is impossible with the legacy batch `run(&workload)`
-//! entry points: the workload is *not* known up front. Each simulated
+//! This scenario needs `serve_online`, not the open-loop `serve`: the
+//! workload is *not* known up front. Each simulated
 //! user submits a first turn, waits for it to finish, "thinks" for a
 //! moment, then submits a follow-up — so later arrivals depend on
 //! earlier completions. The client hook also reacts to load mid-run:

@@ -34,12 +34,11 @@
 //! assert_eq!(report.report().requests, workload.requests.len());
 //! ```
 //!
-//! The legacy batch entry points (`serving::run`, `Cluster::run`,
-//! `DisaggCluster::run`) remain as deprecated shims over the session and
-//! are verified output-equivalent in `tests/output_equivalence.rs`;
-//! migrate by wrapping the same object in a [`ServeSession`] and calling
-//! [`ServeSession::serve`] (or [`ServeSession::serve_online`] for
-//! closed-loop traffic the batch API could not express).
+//! Serve open-loop with [`ServeSession::serve`], or closed-loop with
+//! [`ServeSession::serve_online`]. The session also picks how
+//! multi-replica deployments step (`ServeSession::with_exec_mode`); both
+//! multi-replica shapes step their replicas through one
+//! [`cluster::ReplicaPool`].
 //!
 //! # Workspace map
 //!
@@ -68,8 +67,8 @@
 //!   fairness reporting.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour,
-//! `examples/online_serving.rs` for the online/closed-loop API, and
-//! `DESIGN.md` for the paper-to-module map.
+//! `examples/online_serving.rs` for the online/closed-loop API, and the
+//! "Workspace map" section of `README.md` for the paper-to-module map.
 
 pub use adaserve_core as core;
 pub use baselines;

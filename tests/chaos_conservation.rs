@@ -133,9 +133,9 @@ proptest! {
         let plan = FaultPlan::seeded(seed, 2_000.0, 5_000.0, 3, false);
         for exec in EXEC_MODES {
             let report = ServeSession::new(
-                Cluster::new(engines(3, seed), RouterKind::SloAware.build())
-                    .with_exec_mode(exec),
+                Cluster::new(engines(3, seed), RouterKind::SloAware.build()),
             )
+            .with_exec_mode(exec)
             .with_fault_plan(plan.clone())
             .with_recovery_policy(RecoveryPolicy::default())
             .serve(&sw.workload)
@@ -157,9 +157,9 @@ proptest! {
                 engines(2, seed),
                 Dispatcher::new(RouterKind::SloAware.build()),
                 KvLink::new(300.0, 0.05),
-            )
-            .with_exec_mode(exec);
+            );
             let report = ServeSession::new(disagg)
+                .with_exec_mode(exec)
                 .with_fault_plan(plan.clone())
                 .with_recovery_policy(RecoveryPolicy::default())
                 .serve(&sw.workload)

@@ -24,13 +24,13 @@ fn worker_pool_is_reused_across_repeated_serves_and_joined_on_drop() {
         .collect();
 
     let before = live_worker_threads();
-    let mut cluster = Cluster::new(engines, RouterKind::SloAware.build())
-        .with_exec_mode(ExecMode::Sharded { workers: Some(4) });
+    let mut cluster = Cluster::new(engines, RouterKind::SloAware.build());
     assert_eq!(cluster.worker_pool_size(), 0, "pool is created lazily");
 
     let mut after_first = 0;
     for round in 0..3 {
-        let mut session = ServeSession::new(cluster);
+        let mut session =
+            ServeSession::new(cluster).with_exec_mode(ExecMode::Sharded { workers: Some(4) });
         session
             .serve(&wl)
             .unwrap_or_else(|e| panic!("serve round {round}: {e}"));

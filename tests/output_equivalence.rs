@@ -1,6 +1,5 @@
-//! Integration: speculative decoding is lossless, and the unified
-//! `ServeSession` front door is output-equivalent to the legacy per-topology
-//! entry points.
+//! Integration: speculative decoding is lossless, and serving output does
+//! not depend on how the front door executes a deployment.
 //!
 //! The defining guarantee of speculative decoding (paper §1: "a single
 //! verification step ... to ensure lossless generation") is that the output
@@ -9,11 +8,6 @@
 //! is a pure function of `(stream, k)`, so the invariant is exactly testable:
 //! the stream AdaServe commits must equal the reference chain sampled
 //! directly from the target model.
-//!
-//! The [`front_door_equivalence`] module pins the API redesign: the
-//! deprecated `serving::run`, `Cluster::run` and `DisaggCluster::run` shims
-//! must reproduce, record for record, what an explicitly-driven
-//! `ServeSession` produces on the same seeded workloads.
 
 use adaserve::core::AdaServeEngine;
 use adaserve::serving::{ServingEngine, SystemConfig};
@@ -112,7 +106,7 @@ mod parallel_stepping_equivalence {
     use adaserve::core::AdaServeEngine;
     use adaserve::disagg::{DisaggCluster, Dispatcher, KvLink, PrefillPool};
     use adaserve::serving::{
-        ExecMode, ReplicaAddr, RunReport, ServeSession, ServingEngine, SystemConfig,
+        ExecMode, ReplicaAddr, RunOptions, RunReport, ServeSession, ServingEngine, SystemConfig,
     };
     use adaserve::workload::WorkloadBuilder;
 
@@ -165,11 +159,10 @@ mod parallel_stepping_equivalence {
             .duration_ms(10_000.0)
             .build();
         let run = |mode: ExecMode| {
-            ServeSession::new(
-                Cluster::new(engines(3, 7), RouterKind::SloAware.build()).with_exec_mode(mode),
-            )
-            .serve(&wl)
-            .unwrap_or_else(|e| panic!("{} run: {e}", mode.label()))
+            ServeSession::new(Cluster::new(engines(3, 7), RouterKind::SloAware.build()))
+                .with_exec_mode(mode)
+                .serve(&wl)
+                .unwrap_or_else(|e| panic!("{} run: {e}", mode.label()))
         };
         let reference = run(ExecMode::Sequential);
         for mode in MODES {
@@ -189,9 +182,9 @@ mod parallel_stepping_equivalence {
             .duration_ms(10_000.0)
             .build();
         let run = |mode: ExecMode| {
-            let mut session = ServeSession::new(
-                Cluster::new(engines(3, 7), RouterKind::SloAware.build()).with_exec_mode(mode),
-            );
+            let mut session =
+                ServeSession::new(Cluster::new(engines(3, 7), RouterKind::SloAware.build()))
+                    .with_exec_mode(mode);
             session.scale_at(2_500.0, ReplicaAddr::serving(1), ScalingAction::Drain);
             session.scale_at(6_000.0, ReplicaAddr::serving(1), ScalingAction::Join);
             session.scale_at(7_500.0, ReplicaAddr::serving(2), ScalingAction::Drain);
@@ -218,9 +211,9 @@ mod parallel_stepping_equivalence {
                 engines(2, 7),
                 Dispatcher::new(RouterKind::SloAware.build()),
                 KvLink::new(300.0, 0.05),
-            )
-            .with_exec_mode(mode);
+            );
             ServeSession::new(disagg)
+                .with_exec_mode(mode)
                 .serve(&wl)
                 .unwrap_or_else(|e| panic!("{} run: {e}", mode.label()))
         };
@@ -230,12 +223,11 @@ mod parallel_stepping_equivalence {
         }
     }
 
-    /// The session-level mode (`ServeSession::with_exec_mode`, what
-    /// `RunOptions.exec` carries) is equivalent to the driver-level
-    /// override, and the deprecated boolean builder still maps onto the
-    /// same two modes.
+    /// `ServeSession::with_exec_mode` is the same knob as
+    /// `RunOptions::exec`: either way of picking a mode serves the same
+    /// run.
     #[test]
-    fn session_level_exec_mode_and_deprecated_builder_agree() {
+    fn session_exec_mode_matches_run_options() {
         let baseline_ms = SystemConfig::llama70b(7).baseline_ms;
         let wl = WorkloadBuilder::new(adaserve::workload::env_seed(53), baseline_ms)
             .target_rps(4.0)
@@ -246,28 +238,21 @@ mod parallel_stepping_equivalence {
             .with_exec_mode(ExecMode::Sequential)
             .serve(&wl)
             .expect("session-level sequential");
-        let via_driver = ServeSession::new(cluster().with_exec_mode(ExecMode::Sequential))
+        let options = RunOptions {
+            exec: ExecMode::Sequential,
+            ..RunOptions::default()
+        };
+        let via_options = ServeSession::with_options(cluster(), options)
             .serve(&wl)
-            .expect("driver-level sequential");
-        #[allow(deprecated)] // the legacy builder under test
-        let via_legacy = ServeSession::new(cluster().with_parallel_stepping(false))
-            .serve(&wl)
-            .expect("legacy sequential");
-        assert_identical(via_session, &via_driver, ExecMode::Sequential);
-        assert_identical(via_legacy, &via_driver, ExecMode::Sequential);
+            .expect("run-options sequential");
+        assert_identical(via_session, &via_options, ExecMode::Sequential);
     }
 }
 
 mod front_door_equivalence {
-    use adaserve::baselines::{SarathiEngine, VllmEngine};
-    use adaserve::cluster::{Cluster, RouterKind, ScalingAction, ScalingEvent};
+    use adaserve::cluster::{Cluster, RouterKind};
     use adaserve::core::AdaServeEngine;
-    use adaserve::disagg::{
-        DisaggCluster, DisaggScalingEvent, Dispatcher, KvLink, Pool, PrefillPool,
-    };
-    use adaserve::serving::{
-        Colocated, ReplicaAddr, RunOptions, ServeSession, ServingEngine, SystemConfig,
-    };
+    use adaserve::serving::{Colocated, ServeSession, SystemConfig};
     use adaserve::workload::{Workload, WorkloadBuilder};
 
     fn workload(seed: u64, baseline_ms: f64) -> Workload {
@@ -275,142 +260,6 @@ mod front_door_equivalence {
             .target_rps(3.0)
             .duration_ms(12_000.0)
             .build()
-    }
-
-    fn fleet(n: usize, seed: u64) -> Vec<Box<dyn ServingEngine>> {
-        (0..n)
-            .map(|i| match i % 3 {
-                0 => Box::new(AdaServeEngine::new(SystemConfig::llama70b(seed)))
-                    as Box<dyn ServingEngine>,
-                1 => Box::new(VllmEngine::new(SystemConfig::llama70b(seed))),
-                _ => Box::new(SarathiEngine::new(SystemConfig::llama70b(seed))),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn colocated_shim_matches_serve_session() {
-        let config = SystemConfig::llama70b(13);
-        let wl = workload(31, config.baseline_ms);
-
-        #[allow(deprecated)] // the legacy entry point under test
-        let legacy = adaserve::serving::run(
-            &mut AdaServeEngine::new(SystemConfig::llama70b(13)),
-            &wl,
-            RunOptions::default(),
-        )
-        .expect("legacy run");
-
-        let session = ServeSession::new(Colocated::new(Box::new(AdaServeEngine::new(
-            SystemConfig::llama70b(13),
-        ))))
-        .serve(&wl)
-        .expect("session run");
-
-        assert_eq!(legacy.records, session.records, "same completion records");
-        assert_eq!(legacy.report(), session.report(), "same SloReport");
-        assert_eq!(legacy.end_ms, session.end_ms);
-        assert_eq!(legacy.iterations, session.iterations);
-        assert_eq!(
-            legacy.mean_accepted_per_verify,
-            session.mean_accepted_per_verify()
-        );
-    }
-
-    #[test]
-    fn cluster_shim_matches_serve_session() {
-        let baseline_ms = SystemConfig::llama70b(13).baseline_ms;
-        let wl = workload(32, baseline_ms);
-        let events = vec![
-            ScalingEvent {
-                at_ms: 3_000.0,
-                replica: 1,
-                action: ScalingAction::Drain,
-            },
-            ScalingEvent {
-                at_ms: 7_000.0,
-                replica: 1,
-                action: ScalingAction::Join,
-            },
-        ];
-
-        #[allow(deprecated)] // the legacy entry point under test
-        let legacy = Cluster::new(fleet(3, 13), RouterKind::SloAware.build())
-            .with_events(events.clone())
-            .run(&wl, RunOptions::default())
-            .expect("legacy cluster run");
-
-        let mut session =
-            ServeSession::new(Cluster::new(fleet(3, 13), RouterKind::SloAware.build()));
-        for e in &events {
-            session.scale_at(e.at_ms, ReplicaAddr::serving(e.replica), e.action);
-        }
-        let report = session.serve(&wl).expect("session cluster run");
-
-        assert_eq!(legacy.records, report.records, "same merged records");
-        assert_eq!(legacy.report(), report.report(), "same SloReport");
-        assert_eq!(legacy.router, report.deployment);
-        assert_eq!(legacy.end_ms, report.end_ms);
-        assert_eq!(legacy.iterations, report.iterations);
-        let legacy_shares: Vec<u64> = legacy.per_replica.iter().map(|r| r.routed).collect();
-        let session_shares: Vec<u64> = report.units.iter().map(|u| u.routed).collect();
-        assert_eq!(legacy_shares, session_shares, "same routing decisions");
-        for (l, s) in legacy.per_replica.iter().zip(report.units.iter()) {
-            assert_eq!(l.result.records, s.result.records, "replica {}", l.replica);
-        }
-    }
-
-    #[test]
-    fn disagg_shim_matches_serve_session() {
-        let baseline_ms = SystemConfig::llama70b(13).baseline_ms;
-        let wl = workload(33, baseline_ms);
-        let events = vec![DisaggScalingEvent {
-            at_ms: 4_000.0,
-            pool: Pool::Decode,
-            replica: 1,
-            action: ScalingAction::Drain,
-        }];
-        let build = || {
-            DisaggCluster::new(
-                PrefillPool::new(vec![SystemConfig::llama70b(13)]),
-                fleet(2, 13),
-                Dispatcher::new(RouterKind::SloAware.build()),
-                KvLink::new(300.0, 0.05),
-            )
-        };
-
-        #[allow(deprecated)] // the legacy entry point under test
-        let legacy = build()
-            .with_events(events.clone())
-            .run(&wl, RunOptions::default())
-            .expect("legacy disagg run");
-
-        let mut session = ServeSession::new(build());
-        for e in &events {
-            session.scale_at(
-                e.at_ms,
-                ReplicaAddr {
-                    pool: e.pool,
-                    index: e.replica,
-                },
-                e.action,
-            );
-        }
-        let report = session.serve(&wl).expect("session disagg run");
-        let transfers = session.into_inner().transfer_stats();
-
-        assert_eq!(legacy.records, report.records, "same merged records");
-        assert_eq!(legacy.report(), report.report(), "same SloReport");
-        assert_eq!(legacy.decode_router, report.deployment);
-        assert_eq!(legacy.end_ms, report.end_ms);
-        assert_eq!(legacy.iterations, report.iterations);
-        assert_eq!(legacy.transfers, transfers, "same migration telemetry");
-        let legacy_pre: Vec<u64> = legacy.per_prefill.iter().map(|p| p.routed).collect();
-        let session_pre: Vec<u64> = report.prefill_units().map(|u| u.routed).collect();
-        assert_eq!(legacy_pre, session_pre, "same prefill dispatch");
-        let legacy_dec: Vec<u64> = legacy.per_decode.iter().map(|r| r.routed).collect();
-        let session_dec: Vec<u64> = report.serving_units().map(|u| u.routed).collect();
-        assert_eq!(legacy_dec, session_dec, "same decode handoff");
     }
 
     #[test]
