@@ -197,7 +197,7 @@ impl Replica {
 
     /// The request at the head of the landing queue, if a migration is
     /// parked here.
-    pub fn parked_request(&self) -> Option<u64> {
+    pub(crate) fn parked_request(&self) -> Option<u64> {
         self.landing.front().map(|r| r.spec.id)
     }
 
@@ -219,7 +219,7 @@ impl Replica {
     /// parked migrations, scan lifecycle events. The single body both
     /// sequential stepping and sharded batch stepping
     /// ([`Replica::run_until`]) execute, so the two modes cannot diverge.
-    pub fn step_checked(
+    pub(crate) fn step_checked(
         &mut self,
         options: &RunOptions,
         events: &mut Vec<DeploymentEvent>,
@@ -252,7 +252,7 @@ impl Replica {
     /// do not interact between external events, so running each to the
     /// horizon on its own worker thread reproduces the sequential
     /// interleaving's per-replica state bit for bit.
-    pub fn run_until(
+    pub(crate) fn run_until(
         &mut self,
         horizon_ms: f64,
         options: &RunOptions,
