@@ -1,9 +1,9 @@
 //! Property tests for Algorithms 1 and 2.
 
-use adaserve_core::{optimal_trees, select_tokens, ExplicitProbTree, ScsdInput};
+use adaserve_core::{optimal_trees, select_tokens, ExplicitProbTree, ScsdInput, ScsdOutput};
 use proptest::prelude::*;
-use simllm::TokenId;
-use spectree::TokenTree;
+use simllm::{ContentClass, LmContext, ModelPair, TokenId};
+use spectree::{CandidateTree, NodeId, SpecParams, TokenTree};
 
 /// Random candidate token tree with valid strictly-decreasing path probs.
 fn arb_candidate_tree() -> impl Strategy<Value = TokenTree> {
@@ -30,8 +30,109 @@ fn arb_prob_tree() -> impl Strategy<Value = ExplicitProbTree> {
     })
 }
 
+/// Full beam trees of the calibrated draft model over random contexts.
+fn arb_beam_trees() -> impl Strategy<Value = Vec<TokenTree>> {
+    (
+        0u64..4,
+        1u32..=6,
+        1u32..=4,
+        prop::collection::vec((any::<u64>(), 0u32..1_500, 0usize..3), 1..6),
+    )
+        .prop_map(|(model_seed, depth, width, requests)| {
+            let pair = ModelPair::calibrated(model_seed);
+            requests
+                .into_iter()
+                .map(|(stream, last, class)| {
+                    let tokens = [TokenId(7), TokenId(last)];
+                    let ctx = LmContext::new(stream, ContentClass::ALL[class], &tokens);
+                    let params = SpecParams::new(depth, width);
+                    CandidateTree::speculate(pair.draft(), &ctx, params).into_tree()
+                })
+                .collect()
+        })
+}
+
+/// The selectable prefix of `tree`: its nodes in descending path-prob
+/// order, cut before the first node past position `keep` whose prob is
+/// below `floor`, as an induced subtree.
+fn selectable_prefix(tree: &TokenTree, keep: usize, floor: f64) -> TokenTree {
+    let order = tree.speculated_by_prob_desc();
+    let len = (keep..order.len())
+        .find(|&i| tree.path_prob(order[i]) < floor)
+        .unwrap_or(order.len());
+    tree.induced_subtree(&order[..len])
+        .expect("prefixes are connected")
+}
+
+/// Every node as (parent, token, path-prob bits), in id order.
+fn nodes(tree: &TokenTree) -> Vec<(Option<NodeId>, TokenId, u64)> {
+    tree.node_ids()
+        .map(|id| {
+            (
+                tree.parent(id),
+                tree.token(id),
+                tree.path_prob(id).to_bits(),
+            )
+        })
+        .collect()
+}
+
+/// The selection as the verifier sees it: the selected draft trees plus
+/// every estimate, independent of the candidate trees' node numbering.
+#[allow(clippy::type_complexity)]
+fn applied(
+    trees: &[&TokenTree],
+    out: &ScsdOutput,
+) -> (
+    Vec<Vec<(Option<NodeId>, TokenId, u64)>>,
+    Vec<u64>,
+    Vec<bool>,
+    u64,
+) {
+    let drafts = trees
+        .iter()
+        .zip(&out.selections)
+        .map(|(t, sel)| nodes(&t.induced_subtree(sel).expect("connected")))
+        .collect();
+    let estimates = out.estimated_accept.iter().map(|e| e.to_bits()).collect();
+    (
+        drafts,
+        estimates,
+        out.slo_satisfied.clone(),
+        out.budget_left,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn scsd_on_the_selectable_prefix_equals_scsd_on_the_full_tree(
+        full in arb_beam_trees(),
+        reqs in prop::collection::vec(0.0f64..4.0, 6),
+        budget in 0u64..48,
+        n_max in 1usize..12,
+        floor in prop_oneof![1 => proptest::strategy::Just(0.0), 3 => 0.0f64..0.4],
+    ) {
+        let reqs = &reqs[..full.len()];
+        let prefix: Vec<TokenTree> =
+            full.iter().map(|t| selectable_prefix(t, n_max, floor)).collect();
+        let select = |trees: &[&TokenTree]| {
+            select_tokens(&ScsdInput {
+                candidates: trees,
+                requirements: reqs,
+                budget,
+                n_max,
+                min_phase2_prob: floor,
+            })
+        };
+        let full_refs: Vec<&TokenTree> = full.iter().collect();
+        let prefix_refs: Vec<&TokenTree> = prefix.iter().collect();
+        prop_assert_eq!(
+            applied(&prefix_refs, &select(&prefix_refs)),
+            applied(&full_refs, &select(&full_refs))
+        );
+    }
 
     #[test]
     fn scsd_respects_budget_and_connectivity(
