@@ -6,11 +6,16 @@
 //! iteration — backing the paper's claim that scheduling overhead is
 //! negligible next to GPU time (Fig. 15).
 
-use adaserve_core::{optimal_trees, select_tokens, AdaServeEngine, ExplicitProbTree, ScsdInput};
+use adaserve_core::{
+    optimal_trees, select_tokens, selectable_prefix, AdaServeEngine, AdaServeOptions,
+    ExplicitProbTree, ScsdInput,
+};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use serving::{Colocated, ServeSession, SystemConfig};
 use simllm::{ContentClass, Lm, LmContext, ModelPair, TokenId};
-use spectree::{verify_tree, CandidateTree, SpecParams, SpeculateScratch, TokenTree, VerifyMode};
+use spectree::{
+    verify_tree, BeamStop, CandidateTree, SpecParams, SpeculateScratch, TokenTree, VerifyMode,
+};
 use std::hint::black_box;
 use workload::WorkloadBuilder;
 
@@ -44,6 +49,27 @@ fn bench_speculation(c: &mut Criterion) {
                 &ctx,
                 SpecParams::new(8, 4),
             ))
+        })
+    });
+    // The same fresh beams cut to the prefix the AdaServe engine builds:
+    // the stop rule its default `n_max` and `min_phase2_prob` imply.
+    group.bench_function("prefix_d8_w4_fresh", |b| {
+        let options = AdaServeOptions::default();
+        let stop = selectable_prefix(options.n_max, options.min_phase2_prob);
+        let mut stream = 0u64;
+        b.iter(|| {
+            stream += 1;
+            let ctx = LmContext::new(stream, ContentClass::Chat, &tokens);
+            let mut cand = CandidateTree::empty();
+            let mut scratch = SpeculateScratch::new();
+            cand.speculate_with(
+                pair.draft(),
+                &ctx,
+                SpecParams::new(8, 4),
+                stop,
+                &mut scratch,
+            );
+            black_box(cand)
         })
     });
     group.finish();
@@ -140,7 +166,7 @@ fn bench_tree_ops(c: &mut Criterion) {
         let mut pooled = CandidateTree::empty();
         let mut scratch = SpeculateScratch::new();
         b.iter(|| {
-            pooled.speculate_with(pair.draft(), &ctx, params, &mut scratch);
+            pooled.speculate_with(pair.draft(), &ctx, params, BeamStop::NEVER, &mut scratch);
             black_box(pooled.tree().len())
         })
     });

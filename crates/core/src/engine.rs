@@ -16,7 +16,7 @@
 //! paper's Fig. 15 overhead claim on *this* implementation).
 
 use crate::scheduler::SloCustomizedScheduler;
-use crate::scsd::{select_tokens_with, ScsdInput, ScsdScratch};
+use crate::scsd::{select_tokens_with, selectable_prefix, ScsdInput, ScsdScratch};
 use roofline::{BudgetPolicy, ForwardPass, SeqWork, TokenBudgetProfile};
 use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
 use spectree::{
@@ -111,7 +111,7 @@ impl IterScratch {
             + self
                 .candidates
                 .iter()
-                .map(|c| c.tree().arena_capacity() + c.layers().len())
+                .map(CandidateTree::capacity_sum)
                 .sum::<usize>()
             + self.draft_trees.capacity()
             + self
@@ -341,15 +341,19 @@ impl ServingEngine for AdaServeEngine {
         }
         {
             // Beam search per request into the pooled candidate trees —
-            // arena, layer list and beam buffers all reused.
+            // arena, layer list and beam buffers all reused. Only the
+            // prefix selection can read is built; the draft cost above
+            // still prices the whole beam.
             let scratch = &mut self.scratch;
             if scratch.candidates.len() < n {
                 scratch.candidates.resize_with(n, CandidateTree::empty);
             }
             let running = &self.core.running;
             let draft = self.core.config.pair.draft();
+            let stop = selectable_prefix(self.scheduler.n_max, self.options.min_phase2_prob);
             for (cand, &i) in scratch.candidates.iter_mut().zip(&scratch.decoding) {
-                cand.speculate_with(draft, &running[i].lm_context(), params, &mut scratch.spec);
+                let ctx = running[i].lm_context();
+                cand.speculate_with(draft, &ctx, params, stop, &mut scratch.spec);
             }
         }
         self.core.breakdown.speculation_ms += draft_ms;
@@ -364,15 +368,11 @@ impl ServingEngine for AdaServeEngine {
                 params.depth,
                 &mut scratch.requirements,
             );
-            // One small per-iteration allocation remains in the selection
-            // path: this vec of n tree references for `ScsdInput` (borrow
-            // rules keep it out of the scratch struct).
-            let candidate_trees: Vec<&TokenTree> =
-                scratch.candidates[..n].iter().map(|c| c.tree()).collect();
+            let candidates = &scratch.candidates[..n];
             let budget = self.scheduler.verify_budget.saturating_sub(n as u64); // roots
             select_tokens_with(
                 &ScsdInput {
-                    candidates: &candidate_trees,
+                    candidates,
                     requirements: &scratch.requirements,
                     budget,
                     n_max: self.scheduler.n_max,
@@ -385,13 +385,14 @@ impl ServingEngine for AdaServeEngine {
                     .draft_trees
                     .resize_with(n, || TokenTree::new(simllm::TokenId(0)));
             }
-            for (k, cand) in candidate_trees.iter().enumerate() {
-                cand.induced_subtree_into(
-                    &scratch.scsd.ordered[k][..scratch.scsd.taken[k]],
-                    &mut scratch.draft_trees[k],
-                    &mut scratch.subtree,
-                )
-                .expect("connected selection");
+            for (k, cand) in candidates.iter().enumerate() {
+                cand.tree()
+                    .induced_subtree_into(
+                        &scratch.scsd.ordered[k][..scratch.scsd.taken[k]],
+                        &mut scratch.draft_trees[k],
+                        &mut scratch.subtree,
+                    )
+                    .expect("connected selection");
             }
         }
         self.core.breakdown.scheduling_ms += sched_timer.elapsed().as_secs_f64() * 1e3;

@@ -53,5 +53,5 @@ pub use engine::{AdaServeEngine, AdaServeOptions};
 pub use formulation::{slo_requirement, SloRequirement};
 pub use optimal::{optimal_trees, ExplicitProbTree, OptimalError};
 pub use scheduler::SloCustomizedScheduler;
-pub use scsd::{select_tokens, ScsdInput, ScsdOutput};
+pub use scsd::{select_tokens, selectable_prefix, ScsdInput, ScsdOutput};
 pub use tuning::{grid_search_constants, TuningCell, TuningReport};

@@ -14,16 +14,22 @@
 //!
 //! Selections are per-tree prefixes of the descending-probability order, so
 //! they are always connected (Appendix B) — enforced here by construction
-//! and checked in tests.
+//! and checked in tests. Because selection never reads past a known prefix
+//! of that order, speculation only needs to build that prefix
+//! ([`selectable_prefix`]).
 
-use spectree::{NodeId, TokenTree};
+use spectree::{BeamStop, NodeId, TokenTree};
 use std::collections::BinaryHeap;
 
 /// Input to one selection round.
+///
+/// `T` is anything that views as a [`TokenTree`]: plain `&TokenTree`s, or
+/// the engine's pooled [`spectree::CandidateTree`]s without an
+/// intermediate vector of references.
 #[derive(Debug)]
-pub struct ScsdInput<'a> {
+pub struct ScsdInput<'a, T = &'a TokenTree> {
     /// Per-request candidate trees (roots excluded from budget accounting).
-    pub candidates: &'a [&'a TokenTree],
+    pub candidates: &'a [T],
     /// Per-request capped requirements `A_cap(r_i)`.
     pub requirements: &'a [f64],
     /// Total speculated-token budget across requests (excluding roots).
@@ -123,12 +129,33 @@ impl ScsdScratch {
     }
 }
 
+/// The beam-search stop rule that builds exactly the part of each
+/// candidate tree selection can read: the first `n_max` nodes in
+/// descending path-prob order, then every later node whose prob is at
+/// least `min_phase2_prob`.
+///
+/// Selection never takes a node beyond that prefix. Phase 1 takes at most
+/// `n_max` nodes per request. Phase 2 pops the globally most probable open
+/// node across requests and ends at the first one below
+/// `min_phase2_prob`; every node cut from a tree lies below that cutoff,
+/// and so does anything popped after it, so a cut node ends phase 2 at the
+/// same point whether or not it was built. Feeding
+/// [`spectree::CandidateTree::speculate_with`] this rule therefore leaves
+/// every selection, estimate and the leftover budget unchanged, while
+/// `min_phase2_prob = 0.0` still builds the whole beam.
+pub fn selectable_prefix(n_max: usize, min_phase2_prob: f64) -> BeamStop {
+    BeamStop {
+        keep: n_max,
+        floor: min_phase2_prob,
+    }
+}
+
 /// Runs both selection phases.
 ///
 /// # Panics
 ///
 /// Panics if input slices disagree in length.
-pub fn select_tokens(input: &ScsdInput<'_>) -> ScsdOutput {
+pub fn select_tokens<T: AsRef<TokenTree>>(input: &ScsdInput<'_, T>) -> ScsdOutput {
     let mut scratch = ScsdScratch::default();
     select_tokens_with(input, &mut scratch);
     let n = input.candidates.len();
@@ -145,7 +172,7 @@ pub fn select_tokens(input: &ScsdInput<'_>) -> ScsdOutput {
 /// Scratch-buffer variant of [`select_tokens`]: identical selection
 /// logic, but all working state lives in (and the results are read from)
 /// the caller's [`ScsdScratch`] — no per-call allocations once warm.
-pub fn select_tokens_with(input: &ScsdInput<'_>, s: &mut ScsdScratch) {
+pub fn select_tokens_with<T: AsRef<TokenTree>>(input: &ScsdInput<'_, T>, s: &mut ScsdScratch) {
     let n = input.candidates.len();
     assert_eq!(n, input.requirements.len(), "one requirement per request");
     let mut budget = input.budget;
@@ -155,7 +182,7 @@ pub fn select_tokens_with(input: &ScsdInput<'_>, s: &mut ScsdScratch) {
         s.ordered.resize_with(n, Vec::new);
     }
     for (t, buf) in input.candidates.iter().zip(s.ordered.iter_mut()) {
-        t.speculated_by_prob_desc_into(buf);
+        t.as_ref().speculated_by_prob_desc_into(buf);
     }
     s.taken.clear();
     s.taken.resize(n, 0); // prefix length taken per request
@@ -179,7 +206,7 @@ pub fn select_tokens_with(input: &ScsdInput<'_>, s: &mut ScsdScratch) {
             && budget > 0
         {
             let node = s.ordered[i][s.taken[i]];
-            s.estimated[i] += input.candidates[i].path_prob(node);
+            s.estimated[i] += input.candidates[i].as_ref().path_prob(node);
             s.taken[i] += 1;
             budget -= 1;
         }
@@ -191,7 +218,9 @@ pub fn select_tokens_with(input: &ScsdInput<'_>, s: &mut ScsdScratch) {
     for i in 0..n {
         if s.taken[i] < s.ordered[i].len() {
             s.heap.push(GlobalEntry {
-                prob: input.candidates[i].path_prob(s.ordered[i][s.taken[i]]),
+                prob: input.candidates[i]
+                    .as_ref()
+                    .path_prob(s.ordered[i][s.taken[i]]),
                 req: i,
                 rank: s.taken[i],
             });
@@ -208,7 +237,9 @@ pub fn select_tokens_with(input: &ScsdInput<'_>, s: &mut ScsdScratch) {
         budget -= 1;
         if s.taken[i] < s.ordered[i].len() {
             s.heap.push(GlobalEntry {
-                prob: input.candidates[i].path_prob(s.ordered[i][s.taken[i]]),
+                prob: input.candidates[i]
+                    .as_ref()
+                    .path_prob(s.ordered[i][s.taken[i]]),
                 req: i,
                 rank: s.taken[i],
             });

@@ -1,9 +1,11 @@
 //! Property tests for Algorithms 1 and 2.
 
-use adaserve_core::{optimal_trees, select_tokens, ExplicitProbTree, ScsdInput, ScsdOutput};
+use adaserve_core::{
+    optimal_trees, select_tokens, selectable_prefix, ExplicitProbTree, ScsdInput, ScsdOutput,
+};
 use proptest::prelude::*;
 use simllm::{ContentClass, LmContext, ModelPair, TokenId};
-use spectree::{CandidateTree, NodeId, SpecParams, TokenTree};
+use spectree::{CandidateTree, NodeId, SpecParams, SpeculateScratch, TokenTree};
 
 /// Random candidate token tree with valid strictly-decreasing path probs.
 fn arb_candidate_tree() -> impl Strategy<Value = TokenTree> {
@@ -30,8 +32,11 @@ fn arb_prob_tree() -> impl Strategy<Value = ExplicitProbTree> {
     })
 }
 
-/// Full beam trees of the calibrated draft model over random contexts.
-fn arb_beam_trees() -> impl Strategy<Value = Vec<TokenTree>> {
+/// One speculation round: a calibrated draft model seed, `(d, w)` and the
+/// (stream seed, last token, content class) of 1–5 requests.
+type Round = (u64, SpecParams, Vec<(u64, u32, usize)>);
+
+fn arb_round() -> impl Strategy<Value = Round> {
     (
         0u64..4,
         1u32..=6,
@@ -39,23 +44,14 @@ fn arb_beam_trees() -> impl Strategy<Value = Vec<TokenTree>> {
         prop::collection::vec((any::<u64>(), 0u32..1_500, 0usize..3), 1..6),
     )
         .prop_map(|(model_seed, depth, width, requests)| {
-            let pair = ModelPair::calibrated(model_seed);
-            requests
-                .into_iter()
-                .map(|(stream, last, class)| {
-                    let tokens = [TokenId(7), TokenId(last)];
-                    let ctx = LmContext::new(stream, ContentClass::ALL[class], &tokens);
-                    let params = SpecParams::new(depth, width);
-                    CandidateTree::speculate(pair.draft(), &ctx, params).into_tree()
-                })
-                .collect()
+            (model_seed, SpecParams::new(depth, width), requests)
         })
 }
 
-/// The selectable prefix of `tree`: its nodes in descending path-prob
-/// order, cut before the first node past position `keep` whose prob is
+/// The selectable prefix cut from a full tree: its nodes in descending
+/// path-prob order, up to the first node past position `keep` whose prob is
 /// below `floor`, as an induced subtree.
-fn selectable_prefix(tree: &TokenTree, keep: usize, floor: f64) -> TokenTree {
+fn truncated(tree: &TokenTree, keep: usize, floor: f64) -> TokenTree {
     let order = tree.speculated_by_prob_desc();
     let len = (keep..order.len())
         .find(|&i| tree.path_prob(order[i]) < floor)
@@ -65,7 +61,9 @@ fn selectable_prefix(tree: &TokenTree, keep: usize, floor: f64) -> TokenTree {
 }
 
 /// Every node as (parent, token, path-prob bits), in id order.
-fn nodes(tree: &TokenTree) -> Vec<(Option<NodeId>, TokenId, u64)> {
+type Nodes = Vec<(Option<NodeId>, TokenId, u64)>;
+
+fn nodes(tree: &TokenTree) -> Nodes {
     tree.node_ids()
         .map(|id| {
             (
@@ -79,20 +77,14 @@ fn nodes(tree: &TokenTree) -> Vec<(Option<NodeId>, TokenId, u64)> {
 
 /// The selection as the verifier sees it: the selected draft trees plus
 /// every estimate, independent of the candidate trees' node numbering.
-#[allow(clippy::type_complexity)]
-fn applied(
-    trees: &[&TokenTree],
+fn applied<T: AsRef<TokenTree>>(
+    trees: &[T],
     out: &ScsdOutput,
-) -> (
-    Vec<Vec<(Option<NodeId>, TokenId, u64)>>,
-    Vec<u64>,
-    Vec<bool>,
-    u64,
-) {
+) -> (Vec<Nodes>, Vec<u64>, Vec<bool>, u64) {
     let drafts = trees
         .iter()
         .zip(&out.selections)
-        .map(|(t, sel)| nodes(&t.induced_subtree(sel).expect("connected")))
+        .map(|(t, sel)| nodes(&t.as_ref().induced_subtree(sel).expect("connected")))
         .collect();
     let estimates = out.estimated_accept.iter().map(|e| e.to_bits()).collect();
     (
@@ -108,30 +100,45 @@ proptest! {
 
     #[test]
     fn scsd_on_the_selectable_prefix_equals_scsd_on_the_full_tree(
-        full in arb_beam_trees(),
+        round in arb_round(),
         reqs in prop::collection::vec(0.0f64..4.0, 6),
         budget in 0u64..48,
         n_max in 1usize..12,
         floor in prop_oneof![1 => proptest::strategy::Just(0.0), 3 => 0.0f64..0.4],
     ) {
+        let (model_seed, params, requests) = round;
+        let pair = ModelPair::calibrated(model_seed);
+        let stop = selectable_prefix(n_max, floor);
+        let mut scratch = SpeculateScratch::new();
+        let mut full = Vec::new();
+        let mut prefix = Vec::new();
+        for &(stream, last, class) in &requests {
+            let tokens = [TokenId(7), TokenId(last)];
+            let ctx = LmContext::new(stream, ContentClass::ALL[class], &tokens);
+            let tree = CandidateTree::speculate(pair.draft(), &ctx, params).into_tree();
+            let mut cand = CandidateTree::empty();
+            cand.speculate_with(pair.draft(), &ctx, params, stop, &mut scratch);
+            // The stopped build is exactly the full beam's selectable prefix.
+            prop_assert_eq!(nodes(cand.tree()), nodes(&truncated(&tree, n_max, floor)));
+            full.push(tree);
+            prefix.push(cand);
+        }
         let reqs = &reqs[..full.len()];
-        let prefix: Vec<TokenTree> =
-            full.iter().map(|t| selectable_prefix(t, n_max, floor)).collect();
-        let select = |trees: &[&TokenTree]| {
-            select_tokens(&ScsdInput {
-                candidates: trees,
-                requirements: reqs,
-                budget,
-                n_max,
-                min_phase2_prob: floor,
-            })
-        };
-        let full_refs: Vec<&TokenTree> = full.iter().collect();
-        let prefix_refs: Vec<&TokenTree> = prefix.iter().collect();
-        prop_assert_eq!(
-            applied(&prefix_refs, &select(&prefix_refs)),
-            applied(&full_refs, &select(&full_refs))
-        );
+        let on_prefix = select_tokens(&ScsdInput {
+            candidates: &prefix,
+            requirements: reqs,
+            budget,
+            n_max,
+            min_phase2_prob: floor,
+        });
+        let on_full = select_tokens(&ScsdInput {
+            candidates: &full,
+            requirements: reqs,
+            budget,
+            n_max,
+            min_phase2_prob: floor,
+        });
+        prop_assert_eq!(applied(&prefix, &on_prefix), applied(&full, &on_full));
     }
 
     #[test]

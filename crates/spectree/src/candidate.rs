@@ -10,18 +10,48 @@
 //! Candidate-tree layout mirrors the paper: the first layer holds the top-`w`
 //! children of the root, and every subsequent layer holds the global top-`w`
 //! among all expansions of the previous layer's beam (classic beam search on
-//! approximated path probabilities). Because each layer's nodes are inserted
-//! consecutively, layers are stored as dense id *ranges* rather than
-//! per-layer `Vec`s.
+//! approximated path probabilities, ties broken by parent then token). Nodes
+//! are numbered layer by layer, each layer in that rank order, so layers are
+//! stored as dense id *ranges* rather than per-layer `Vec`s.
 //!
-//! The construction itself is allocation-free at steady state: all transient
-//! buffers live in a caller-owned [`SpeculateScratch`], draft distributions
-//! arrive as shared [`simllm::Lm::next_dist_extended_arc`] handles, and the
-//! per-step top-`w` cut uses a partial selection instead of sorting every
-//! expansion.
+//! # Best-first construction
+//!
+//! The tree is not built layer by layer but best-first: one max-heap holds
+//! every open candidate, keyed by (path prob, layer, parent's rank in its
+//! layer, token), and a per-layer count records the nodes placed so far.
+//! Popping in key order and placing a candidate only while its layer holds
+//! fewer than `w` nodes yields exactly the layer-by-layer beam, because a
+//! child's path prob never exceeds its parent's: every candidate that ranks
+//! above a layer's `w`-th node has a parent that was popped, placed and
+//! expanded before it. Expansion is lazy as well — placing a node pushes
+//! one marker keyed by the node's own prob (an upper bound on its
+//! children's), and only popping that marker calls the draft model. A
+//! marker whose children's layer is already full is dropped without a
+//! lookup, since none of those children could enter the beam.
+//!
+//! Nodes leave the heap in descending path-prob order (ties in node-id
+//! order), the same order Algorithm 2 reads a candidate tree in. A
+//! [`BeamStop`] rule `{keep, floor}` uses that: once `keep` nodes are placed
+//! and the best open candidate lies below `floor`, every unbuilt node of the
+//! full beam lies below `floor` too and comes after all placed ones, so the
+//! search ends. The placed nodes are then exactly the full beam's first
+//! nodes in selection order — the *selectable prefix* — renumbered in
+//! (layer, rank) order, which preserves the full tree's relative node
+//! order, sibling order and bit-identical path probabilities.
+//! [`BeamStop::NEVER`] builds the whole beam.
+//!
+//! The stop rule is a host-side saving only: the simulated draft cost is
+//! priced from `(n, d, w)`, i.e. the modelled GPU still runs the whole beam;
+//! the simulator just skips computing nodes that selection never reads.
+//!
+//! The construction is allocation-free at steady state: all transient
+//! buffers live in a caller-owned [`SpeculateScratch`], and draft
+//! distributions arrive through [`simllm::Lm::top_w_extended`].
 
 use crate::tree::{NodeId, TokenTree};
 use simllm::{Lm, LmContext, TokenId};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// Speculation parameters: tree depth and beam width.
@@ -46,17 +76,101 @@ impl SpecParams {
     }
 }
 
+/// When best-first construction may end before the full beam is built
+/// (see the [module docs](crate::candidate)).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BeamStop {
+    /// Nodes always placed (if the full beam has that many).
+    pub keep: usize,
+    /// Past `keep` placed nodes, the search ends at the first candidate
+    /// whose path prob is below this.
+    pub floor: f64,
+}
+
+impl BeamStop {
+    /// Never stops early: builds the full beam.
+    pub const NEVER: Self = Self {
+        keep: usize::MAX,
+        floor: 0.0,
+    };
+}
+
+/// Sentinel parent index for children of the root.
+const ROOT_PARENT: u32 = u32::MAX;
+
+/// One open heap entry: a candidate node (`token` set) or the pending
+/// expansion of a placed node (`token` = `None`), whose key bounds every
+/// child's from above.
+#[derive(Debug, Clone, Copy)]
+struct Open {
+    /// Candidate path prob (unclamped); for an expansion, the node's prob.
+    prob: f64,
+    /// Layer the candidate (or the expanded node's children) would join.
+    layer: u32,
+    /// Rank of the parent (the expanded node) within its own layer.
+    parent_rank: u32,
+    /// Index of the parent (the expanded node) in `placed`.
+    parent: u32,
+    /// Candidate token; `None` orders an expansion before its children.
+    token: Option<TokenId>,
+}
+
+impl Ord for Open {
+    /// Max-heap order: higher prob, then shallower layer, then lower
+    /// parent rank, then expansion before candidates, then lower token.
+    /// `parent` is determined by `(layer, parent_rank)`, so it is left out.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.prob
+            .total_cmp(&other.prob)
+            .then_with(|| other.layer.cmp(&self.layer))
+            .then_with(|| other.parent_rank.cmp(&self.parent_rank))
+            .then_with(|| other.token.cmp(&self.token))
+    }
+}
+
+impl PartialOrd for Open {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Open {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Open {}
+
+/// A node placed by the search, in pop order.
+#[derive(Debug, Clone, Copy)]
+struct Placed {
+    layer: u32,
+    /// Rank within its layer (pop order = rank order).
+    rank: u32,
+    /// Index of the parent in `placed` ([`ROOT_PARENT`] for the root)
+    /// during the search; the parent's node id once nodes are numbered.
+    parent: u32,
+    token: TokenId,
+    /// Stored (clamped) path prob.
+    prob: f64,
+}
+
 /// Reusable buffers for [`CandidateTree::speculate_with`].
 ///
-/// One scratch per engine turns beam search's per-step allocations
-/// (expansion list, path buffer, extended-context buffer) into buffer
+/// One scratch per engine turns beam search's per-call allocations (open
+/// heap, placed nodes, path buffer, extended-context buffer) into buffer
 /// reuse; [`SpeculateScratch::grow_events`] counts how often any buffer
 /// actually had to grow, which drops to zero once the engine warms up.
 #[derive(Debug, Default)]
 pub struct SpeculateScratch {
-    /// Candidate (parent, token, path_prob) expansions of one beam step.
-    expansions: Vec<(NodeId, TokenId, f64)>,
-    /// Path-token buffer for [`TokenTree::path_tokens_into`].
+    /// Open candidates and pending expansions.
+    open: BinaryHeap<Open>,
+    /// Nodes placed so far, in pop order.
+    placed: Vec<Placed>,
+    /// Placed nodes per layer.
+    layer_len: Vec<u32>,
+    /// Path-token buffer of the node being expanded.
     path: Vec<TokenId>,
     /// Extended-context buffer for `top_w_extended`.
     ext: Vec<TokenId>,
@@ -86,10 +200,23 @@ impl SpeculateScratch {
     }
 
     fn capacity_sum(&self) -> usize {
-        self.expansions.capacity()
+        self.open.capacity()
+            + self.placed.capacity()
+            + self.layer_len.capacity()
             + self.path.capacity()
             + self.ext.capacity()
             + self.topw.capacity()
+    }
+
+    /// Fills `path` with the tokens from the root to placed node `node`.
+    fn path_to(&mut self, mut node: u32) {
+        self.path.clear();
+        while node != ROOT_PARENT {
+            let p = &self.placed[node as usize];
+            self.path.push(p.token);
+            node = p.parent;
+        }
+        self.path.reverse();
     }
 }
 
@@ -97,11 +224,15 @@ impl SpeculateScratch {
 #[derive(Debug, Clone)]
 pub struct CandidateTree {
     tree: TokenTree,
-    /// Beam layers as node-id ranges (layer nodes are inserted
+    /// Beam layers as node-id ranges (layer nodes are numbered
     /// consecutively); layer 0 = children of the root.
     layers: Vec<Range<u32>>,
-    /// Draft-model tokens decoded while building this tree (cost accounting).
-    draft_tokens_processed: u32,
+}
+
+impl AsRef<TokenTree> for CandidateTree {
+    fn as_ref(&self) -> &TokenTree {
+        &self.tree
+    }
 }
 
 impl CandidateTree {
@@ -111,88 +242,139 @@ impl CandidateTree {
         Self {
             tree: TokenTree::new(TokenId(0)),
             layers: Vec::new(),
-            draft_tokens_processed: 0,
         }
     }
 
-    /// Runs `params.depth` beam-search steps of the draft model `lm`.
+    /// Runs `params.depth` beam-search steps of the draft model `lm` and
+    /// returns the full beam.
     ///
     /// `ctx` must end at the request's last generated token, which becomes
     /// the candidate tree's root.
     pub fn speculate(lm: &dyn Lm, ctx: &LmContext<'_>, params: SpecParams) -> Self {
         let mut out = Self::empty();
         let mut scratch = SpeculateScratch::new();
-        out.speculate_with(lm, ctx, params, &mut scratch);
+        out.speculate_with(lm, ctx, params, BeamStop::NEVER, &mut scratch);
         out
     }
 
-    /// Pooled variant of [`CandidateTree::speculate`]: rebuilds `self` in
-    /// place, reusing the tree arena, the layer list and the caller's
-    /// [`SpeculateScratch`] — zero allocations once all buffers are warm.
+    /// Pooled, stoppable variant of [`CandidateTree::speculate`]: rebuilds
+    /// `self` in place as the prefix of the beam that `stop` leaves (the
+    /// full beam for [`BeamStop::NEVER`]), reusing the tree arena, the
+    /// layer list and the caller's [`SpeculateScratch`] — zero allocations
+    /// once all buffers are warm.
     pub fn speculate_with(
         &mut self,
         lm: &dyn Lm,
         ctx: &LmContext<'_>,
         params: SpecParams,
+        stop: BeamStop,
         scratch: &mut SpeculateScratch,
     ) {
         let root_token = *ctx.tokens.last().expect("context must not be empty");
-        self.tree.reset(root_token);
-        self.layers.clear();
-        self.draft_tokens_processed = 0;
         let cap_before = scratch.capacity_sum();
+        let w = params.width;
+        // Size every buffer for the full beam up front, so each grows at
+        // most once per larger `(d, w)` however much of the beam is built:
+        // at most `d·w` nodes, each expansion opens `w` candidates and
+        // each placed node one expansion.
+        let max_nodes = params.max_nodes() as usize;
+        scratch.open.clear();
+        scratch.open.reserve((max_nodes + 1) * (w as usize + 1));
+        scratch.placed.clear();
+        scratch.placed.reserve(max_nodes);
+        scratch.layer_len.clear();
+        scratch.layer_len.resize(params.depth as usize, 0);
 
-        // Beam of nodes expanded at the current step: the previous layer's
-        // id range (the root alone before the first step).
-        let mut beam: Range<u32> = 0..1;
-        for _step in 0..params.depth {
-            // Expand every beam node; gather (parent, token, path_prob).
-            scratch.expansions.clear();
-            for node in beam.clone().map(NodeId) {
-                self.tree.path_tokens_into(node, &mut scratch.path);
+        // Best-first search; the root's expansion opens layer 0.
+        scratch.open.push(Open {
+            prob: 1.0,
+            layer: 0,
+            parent_rank: 0,
+            parent: ROOT_PARENT,
+            token: None,
+        });
+        while let Some(top) = scratch.open.pop() {
+            let layer = top.layer as usize;
+            if scratch.layer_len[layer] == w {
+                continue; // Outside the beam, and so is everything below it.
+            }
+            if scratch.placed.len() >= stop.keep && top.prob < stop.floor {
+                break; // Nothing left that selection would read.
+            }
+            let Some(token) = top.token else {
+                // Expand a placed node (or the root): open its top-w children.
+                scratch.path_to(top.parent);
                 lm.top_w_extended(
                     ctx,
                     &scratch.path,
-                    params.width as usize,
+                    w as usize,
                     &mut scratch.ext,
                     &mut scratch.topw,
                 );
-                self.draft_tokens_processed += 1;
-                let parent_prob = self.tree.path_prob(node);
                 for &(token, p) in &scratch.topw {
-                    scratch.expansions.push((node, token, parent_prob * p));
+                    scratch.open.push(Open {
+                        prob: top.prob * p,
+                        token: Some(token),
+                        ..top
+                    });
                 }
-            }
-            // Keep the global top-w expansions (stable on ties). The
-            // comparator is a total order over distinct (parent, token)
-            // pairs, so partial selection + unstable sort of the survivors
-            // reproduces the full stable sort's prefix exactly.
-            let w = params.width as usize;
-            let cmp = |a: &(NodeId, TokenId, f64), b: &(NodeId, TokenId, f64)| {
-                b.2.partial_cmp(&a.2)
-                    .expect("finite probs")
-                    .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
+                continue;
             };
-            if scratch.expansions.len() > w {
-                scratch.expansions.select_nth_unstable_by(w - 1, cmp);
-                scratch.expansions.truncate(w);
+            // Path probs strictly decrease because edge probs are < 1;
+            // guard against degenerate prob-1 edges with a tiny epsilon.
+            let parent_prob = match top.parent {
+                ROOT_PARENT => 1.0,
+                parent => scratch.placed[parent as usize].prob,
+            };
+            let prob = top.prob.min(parent_prob * (1.0 - 1e-12));
+            let rank = scratch.layer_len[layer];
+            scratch.layer_len[layer] += 1;
+            scratch.placed.push(Placed {
+                layer: top.layer,
+                rank,
+                parent: top.parent,
+                token,
+                prob,
+            });
+            if layer + 1 < scratch.layer_len.len() {
+                scratch.open.push(Open {
+                    prob,
+                    layer: top.layer + 1,
+                    parent_rank: rank,
+                    parent: scratch.placed.len() as u32 - 1,
+                    token: None,
+                });
             }
-            scratch.expansions.sort_unstable_by(cmp);
-            if scratch.expansions.is_empty() {
-                break;
-            }
-            let layer_start = self.tree.len() as u32;
-            for &(parent, token, prob) in &scratch.expansions {
-                // Path probs strictly decrease because edge probs are < 1;
-                // guard against degenerate prob-1 edges with a tiny epsilon.
-                let prob = prob.min(self.tree.path_prob(parent) * (1.0 - 1e-12));
-                self.tree
-                    .add_child(parent, token, prob)
-                    .expect("beam expansion preserves tree invariants");
-            }
-            let layer = layer_start..self.tree.len() as u32;
-            beam = layer.clone();
-            self.layers.push(layer);
+        }
+
+        // Number the placed nodes layer by layer, each layer in rank order,
+        // and insert them in id order.
+        self.layers.clear();
+        self.layers.reserve(params.depth as usize);
+        let mut next = 1;
+        for &len in scratch.layer_len.iter().take_while(|&&len| len > 0) {
+            self.layers.push(next..next + len);
+            next += len;
+        }
+        for i in 0..scratch.placed.len() {
+            // Rewrites `parent` from an index in `placed` to a node id; the
+            // lookup reads only the parent's `layer` and `rank`.
+            let parent = scratch.placed[i].parent;
+            scratch.placed[i].parent = match parent {
+                ROOT_PARENT => 0,
+                parent => {
+                    let q = scratch.placed[parent as usize];
+                    self.layers[q.layer as usize].start + q.rank
+                }
+            };
+        }
+        scratch.placed.sort_unstable_by_key(|p| (p.layer, p.rank));
+        self.tree.reset(root_token);
+        self.tree.reserve(max_nodes);
+        for p in &scratch.placed {
+            self.tree
+                .add_child(NodeId(p.parent), p.token, p.prob)
+                .expect("beam expansion preserves tree invariants");
         }
         scratch.note_capacity(cap_before);
     }
@@ -217,15 +399,15 @@ impl CandidateTree {
         self.layers[k].clone().map(NodeId)
     }
 
+    /// Allocated capacity of the tree arena plus the layer list
+    /// (allocation-discipline probe for pooled trees).
+    pub fn capacity_sum(&self) -> usize {
+        self.tree.arena_capacity() + self.layers.capacity()
+    }
+
     /// Achieved depth (may be below the requested depth if beams emptied).
     pub fn depth(&self) -> u32 {
         self.layers.len() as u32
-    }
-
-    /// Draft-model tokens decoded during construction (for cost accounting:
-    /// each beam node expansion is one draft-decoded token).
-    pub fn draft_tokens_processed(&self) -> u32 {
-        self.draft_tokens_processed
     }
 }
 
@@ -279,11 +461,42 @@ mod tests {
         }
     }
 
+    /// (token path, path-prob bits) of every speculated node, in the
+    /// descending-prob order selection reads a tree in.
+    fn selection_order(tree: &TokenTree) -> Vec<(Vec<TokenId>, u64)> {
+        tree.speculated_by_prob_desc()
+            .into_iter()
+            .map(|id| (tree.path_tokens(id), tree.path_prob(id).to_bits()))
+            .collect()
+    }
+
     #[test]
-    fn draft_cost_is_one_token_per_beam_node() {
-        let cand = speculate(3, 2);
-        // Step 1 expands the root (1 token); steps 2..3 expand 2 nodes each.
-        assert_eq!(cand.draft_tokens_processed(), 1 + 2 + 2);
+    fn stopped_build_is_a_prefix_of_the_full_beam_in_selection_order() {
+        let pair = ModelPair::calibrated(5);
+        let tokens = ctx_tokens();
+        let ctx = LmContext::new(9, ContentClass::Chat, &tokens);
+        let params = SpecParams::new(6, 4);
+        let full = selection_order(CandidateTree::speculate(pair.draft(), &ctx, params).tree());
+        let mut scratch = SpeculateScratch::new();
+        let mut cand = CandidateTree::empty();
+        for keep in [0, 1, 3, 8, 30] {
+            for floor in [0.0, 0.05, 0.3, 1.1] {
+                let stop = BeamStop { keep, floor };
+                cand.speculate_with(pair.draft(), &ctx, params, stop, &mut scratch);
+                cand.tree().validate().expect("valid prefix tree");
+                let prefix = selection_order(cand.tree());
+                assert_eq!(
+                    prefix[..],
+                    full[..prefix.len()],
+                    "keep {keep}, floor {floor}"
+                );
+                // At least `keep` nodes, then every node at or above the floor.
+                let want = (keep..full.len())
+                    .find(|&i| f64::from_bits(full[i].1) < floor)
+                    .unwrap_or(full.len());
+                assert_eq!(prefix.len(), want, "keep {keep}, floor {floor}");
+            }
+        }
     }
 
     #[test]
@@ -315,9 +528,15 @@ mod tests {
         // Warm the pool on a different context first, then rebuild.
         let warm_tokens = vec![TokenId(1), TokenId(2)];
         let warm_ctx = LmContext::new(3, ContentClass::News, &warm_tokens);
-        pooled.speculate_with(pair.draft(), &warm_ctx, params, &mut scratch);
+        pooled.speculate_with(
+            pair.draft(),
+            &warm_ctx,
+            params,
+            BeamStop::NEVER,
+            &mut scratch,
+        );
         let grown = scratch.grow_events();
-        pooled.speculate_with(pair.draft(), &ctx, params, &mut scratch);
+        pooled.speculate_with(pair.draft(), &ctx, params, BeamStop::NEVER, &mut scratch);
 
         let fresh_nodes: Vec<_> = fresh
             .tree()

@@ -18,7 +18,7 @@
 //! # Modules
 //!
 //! * [`tree`] — the arena-based token tree.
-//! * [`candidate`] — beam-search construction of candidate trees.
+//! * [`candidate`] — best-first beam-search construction of candidate trees.
 //! * [`verify`] — target-model verification of a draft tree.
 //! * [`mask`] — tree-attention topology masks (the kernel-facing layout).
 
@@ -27,7 +27,7 @@ pub mod mask;
 pub mod tree;
 pub mod verify;
 
-pub use candidate::{CandidateTree, SpecParams, SpeculateScratch};
+pub use candidate::{BeamStop, CandidateTree, SpecParams, SpeculateScratch};
 pub use mask::TreeMask;
 pub use tree::{NodeId, SubtreeScratch, TokenTree, TreeError};
 pub use verify::{

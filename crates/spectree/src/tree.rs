@@ -108,6 +108,12 @@ pub struct TokenTree {
     nodes: Vec<Node>,
 }
 
+impl AsRef<TokenTree> for TokenTree {
+    fn as_ref(&self) -> &TokenTree {
+        self
+    }
+}
+
 impl TokenTree {
     /// Creates a tree holding only the root token.
     pub fn new(root_token: TokenId) -> Self {
@@ -122,6 +128,12 @@ impl TokenTree {
     pub fn reset(&mut self, root_token: TokenId) {
         self.nodes.clear();
         self.nodes.push(Node::new(root_token, None, 1.0, 0));
+    }
+
+    /// Reserves arena room for at least `additional` more nodes, so a
+    /// pooled tree can grow once to its largest shape.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
     }
 
     /// The root node id.
@@ -248,6 +260,10 @@ impl TokenTree {
     /// `(prob, id)` keys, so the result is identical to the stable sort.
     pub fn speculated_by_prob_desc_into(&self, out: &mut Vec<NodeId>) {
         out.clear();
+        // Room for as many nodes as this arena holds, so a pooled buffer
+        // fed pooled trees of varying size grows once rather than with
+        // each larger tree.
+        out.reserve(self.nodes.capacity().saturating_sub(1));
         out.extend((1..self.nodes.len() as u32).map(NodeId));
         out.sort_unstable_by(|a, b| {
             let pa = self.nodes[a.0 as usize].path_prob;
