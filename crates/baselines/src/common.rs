@@ -2,6 +2,37 @@
 
 use roofline::{ForwardPass, SeqWork};
 use serving::{EngineCore, Phase, StepResult};
+use spectree::{BeamStop, CandidateTree, SpecParams, SpeculateScratch};
+
+/// Pooled candidate trees plus one beam-search scratch: a speculating
+/// baseline rebuilds its per-request trees in place every iteration
+/// instead of allocating a tree and a scratch per request.
+#[derive(Debug, Default)]
+pub struct SpecPool {
+    trees: Vec<CandidateTree>,
+    scratch: SpeculateScratch,
+}
+
+impl SpecPool {
+    /// Builds the full `params` beam for each running request in
+    /// `indices`; returns the trees in `indices` order.
+    pub fn speculate(
+        &mut self,
+        core: &EngineCore,
+        indices: &[usize],
+        params: SpecParams,
+    ) -> &[CandidateTree] {
+        if self.trees.len() < indices.len() {
+            self.trees.resize_with(indices.len(), CandidateTree::empty);
+        }
+        let draft = core.config.pair.draft();
+        for (tree, &i) in self.trees.iter_mut().zip(indices) {
+            let ctx = core.running[i].lm_context();
+            tree.speculate_with(draft, &ctx, params, BeamStop::NEVER, &mut self.scratch);
+        }
+        &self.trees[..indices.len()]
+    }
+}
 
 /// Runs one whole-prompt prefill pass over every request in the prefill
 /// phase (vLLM's prefill-prioritized iteration). Returns `None` if nothing

@@ -12,7 +12,7 @@
 use crate::common;
 use roofline::{ForwardPass, SeqWork};
 use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
-use spectree::{verify_tree, CandidateTree, SpecParams};
+use spectree::{verify_tree, SpecParams};
 
 /// The SmartSpec-style baseline engine.
 #[derive(Debug)]
@@ -22,6 +22,8 @@ pub struct SmartSpecEngine {
     max_len: u32,
     /// EMA of the per-position acceptance rate α.
     alpha: f64,
+    /// Pooled draft chains.
+    spec: common::SpecPool,
 }
 
 impl SmartSpecEngine {
@@ -31,6 +33,7 @@ impl SmartSpecEngine {
             core: EngineCore::new(config),
             max_len: 8,
             alpha: 0.7,
+            spec: common::SpecPool::default(),
         }
     }
 
@@ -171,13 +174,7 @@ impl ServingEngine for SmartSpecEngine {
                 .forward_latency_ms(&step_pass, true)
                 * f64::from(k - 1);
         }
-        let chains: Vec<CandidateTree> = indices
-            .iter()
-            .map(|&i| {
-                let r = &self.core.running[i];
-                CandidateTree::speculate(self.core.config.pair.draft(), &r.lm_context(), params)
-            })
-            .collect();
+        let chains = self.spec.speculate(&self.core, &indices, params);
         self.core.breakdown.speculation_ms += draft_ms;
 
         let mut pass = ForwardPass::default();

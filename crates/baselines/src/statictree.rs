@@ -11,13 +11,14 @@
 use crate::common;
 use roofline::{ForwardPass, SeqWork};
 use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
-use spectree::{verify_tree, CandidateTree, SpecParams};
+use spectree::{verify_tree, SpecParams};
 
 /// The static-tree speculation baseline engine.
 #[derive(Debug)]
 pub struct StaticTreeEngine {
     core: EngineCore,
     params: SpecParams,
+    spec: common::SpecPool,
 }
 
 impl StaticTreeEngine {
@@ -26,6 +27,7 @@ impl StaticTreeEngine {
         Self {
             core: EngineCore::new(config),
             params: SpecParams::new(depth, width),
+            spec: common::SpecPool::default(),
         }
     }
 }
@@ -114,17 +116,7 @@ impl ServingEngine for StaticTreeEngine {
                 .forward_latency_ms(&rest, true)
                 * f64::from(self.params.depth - 1);
         }
-        let trees: Vec<CandidateTree> = indices
-            .iter()
-            .map(|&i| {
-                let r = &self.core.running[i];
-                CandidateTree::speculate(
-                    self.core.config.pair.draft(),
-                    &r.lm_context(),
-                    self.params,
-                )
-            })
-            .collect();
+        let trees = self.spec.speculate(&self.core, &indices, self.params);
         self.core.breakdown.speculation_ms += draft_ms;
 
         let mut pass = ForwardPass::default();

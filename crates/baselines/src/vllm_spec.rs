@@ -11,7 +11,7 @@
 use crate::common;
 use roofline::{ForwardPass, SeqWork};
 use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
-use spectree::{verify_tree, CandidateTree, SpecParams};
+use spectree::{verify_tree, SpecParams};
 
 /// The vLLM-Spec(k) baseline engine.
 #[derive(Debug)]
@@ -19,6 +19,8 @@ pub struct VllmSpecEngine {
     core: EngineCore,
     /// Fixed speculation length (the paper evaluates k ∈ {4, 6, 8}).
     spec_len: u32,
+    /// Pooled draft chains.
+    spec: common::SpecPool,
 }
 
 impl VllmSpecEngine {
@@ -32,6 +34,7 @@ impl VllmSpecEngine {
         Self {
             core: EngineCore::new(config),
             spec_len,
+            spec: common::SpecPool::default(),
         }
     }
 }
@@ -117,13 +120,7 @@ impl ServingEngine for VllmSpecEngine {
                 draft_ms += per * f64::from(self.spec_len - 1);
             }
         }
-        let chains: Vec<CandidateTree> = indices
-            .iter()
-            .map(|&i| {
-                let r = &self.core.running[i];
-                CandidateTree::speculate(self.core.config.pair.draft(), &r.lm_context(), params)
-            })
-            .collect();
+        let chains = self.spec.speculate(&self.core, &indices, params);
         self.core.breakdown.speculation_ms += draft_ms;
 
         // ---- Verify all chains in one batched pass. ----
