@@ -8,7 +8,7 @@ use spectree::{BeamStop, CandidateTree, SpecParams, SpeculateScratch};
 /// baseline rebuilds its per-request trees in place every iteration
 /// instead of allocating a tree and a scratch per request.
 #[derive(Debug, Default)]
-pub struct SpecPool {
+pub(crate) struct SpecPool {
     trees: Vec<CandidateTree>,
     scratch: SpeculateScratch,
 }
@@ -16,7 +16,7 @@ pub struct SpecPool {
 impl SpecPool {
     /// Builds the full `params` beam for each running request in
     /// `indices`; returns the trees in `indices` order.
-    pub fn speculate(
+    pub(crate) fn speculate(
         &mut self,
         core: &EngineCore,
         indices: &[usize],

@@ -276,14 +276,20 @@ impl CandidateTree {
         // Size every buffer for the full beam up front, so each grows at
         // most once per larger `(d, w)` however much of the beam is built:
         // at most `d·w` nodes, each expansion opens `w` candidates and
-        // each placed node one expansion.
-        let max_nodes = params.max_nodes() as usize;
+        // each placed node one expansion; paths are shorter than `d`.
+        let (depth, max_nodes) = (params.depth as usize, params.max_nodes() as usize);
         scratch.open.clear();
         scratch.open.reserve((max_nodes + 1) * (w as usize + 1));
         scratch.placed.clear();
         scratch.placed.reserve(max_nodes);
+        scratch.path.clear();
+        scratch.path.reserve(depth);
+        scratch.ext.clear();
+        scratch.ext.reserve(LmContext::MARKOV_ORDER + depth);
+        scratch.topw.clear();
+        scratch.topw.reserve(w as usize);
         scratch.layer_len.clear();
-        scratch.layer_len.resize(params.depth as usize, 0);
+        scratch.layer_len.resize(depth, 0);
 
         // Best-first search; the root's expansion opens layer 0.
         scratch.open.push(Open {
@@ -350,7 +356,7 @@ impl CandidateTree {
         // Number the placed nodes layer by layer, each layer in rank order,
         // and insert them in id order.
         self.layers.clear();
-        self.layers.reserve(params.depth as usize);
+        self.layers.reserve(depth);
         let mut next = 1;
         for &len in scratch.layer_len.iter().take_while(|&&len| len > 0) {
             self.layers.push(next..next + len);

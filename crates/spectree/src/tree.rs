@@ -132,7 +132,7 @@ impl TokenTree {
 
     /// Reserves arena room for at least `additional` more nodes, so a
     /// pooled tree can grow once to its largest shape.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.nodes.reserve(additional);
     }
 
@@ -337,8 +337,11 @@ impl TokenTree {
         scratch.sorted.sort_unstable();
         scratch.sorted.dedup();
         out.reset(self.nodes[0].token);
-        // Dense remap: source id -> destination id (root maps to root).
+        // Dense remap: source id -> destination id (root maps to root),
+        // with room for as many nodes as this arena holds (see
+        // `speculated_by_prob_desc_into`).
         scratch.remap.clear();
+        scratch.remap.reserve(self.nodes.capacity());
         scratch.remap.resize(self.nodes.len(), None);
         scratch.remap[ROOT.0 as usize] = Some(ROOT);
         for &id in &scratch.sorted {
