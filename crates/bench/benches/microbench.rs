@@ -36,9 +36,11 @@ fn bench_speculation(c: &mut Criterion) {
         });
     }
     // The beams above reuse one context, so after the first iteration
-    // every expansion is a memo hit. Serving traffic mostly misses (~85%
-    // of lookups on `paper-mix`); a fresh stream seed per iteration makes
-    // every expansion compute its distributions, as in real traffic.
+    // every expansion finds its target head in the memo (the draft's
+    // noise head is generated either way). Serving traffic mostly misses:
+    // on traced `paper-mix` (seed 401) 70% of the LM lookups miss, draft
+    // expansions and verification together. A fresh stream seed per
+    // iteration makes every expansion compute both heads, as in serving.
     group.bench_function("beam_d8_w4_fresh", |b| {
         let mut stream = 0u64;
         b.iter(|| {
