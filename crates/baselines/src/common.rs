@@ -2,36 +2,18 @@
 
 use roofline::{ForwardPass, SeqWork};
 use serving::{EngineCore, Phase, StepResult};
-use spectree::{BeamStop, CandidateTree, SpecParams, SpeculateScratch};
+use spectree::{BeamStop, CandidatePool, CandidateTree, SpecParams};
 
-/// Pooled candidate trees plus one beam-search scratch: a speculating
-/// baseline rebuilds its per-request trees in place every iteration
-/// instead of allocating a tree and a scratch per request.
-#[derive(Debug, Default)]
-pub(crate) struct SpecPool {
-    trees: Vec<CandidateTree>,
-    scratch: SpeculateScratch,
-}
-
-impl SpecPool {
-    /// Builds the full `params` beam for each running request in
-    /// `indices`; returns the trees in `indices` order.
-    pub(crate) fn speculate(
-        &mut self,
-        core: &EngineCore,
-        indices: &[usize],
-        params: SpecParams,
-    ) -> &[CandidateTree] {
-        if self.trees.len() < indices.len() {
-            self.trees.resize_with(indices.len(), CandidateTree::empty);
-        }
-        let draft = core.config.pair.draft();
-        for (tree, &i) in self.trees.iter_mut().zip(indices) {
-            let ctx = core.running[i].lm_context();
-            tree.speculate_with(draft, &ctx, params, BeamStop::NEVER, &mut self.scratch);
-        }
-        &self.trees[..indices.len()]
-    }
+/// Builds the full `params` beam for each running request in `indices`
+/// into the engine's `pool`; returns the trees in `indices` order.
+pub(crate) fn speculate<'p>(
+    pool: &'p mut CandidatePool,
+    core: &EngineCore,
+    indices: &[usize],
+    params: SpecParams,
+) -> &'p [CandidateTree] {
+    let contexts = indices.iter().map(|&i| core.running[i].lm_context());
+    pool.speculate(core.config.pair.draft(), contexts, params, BeamStop::NEVER)
 }
 
 /// Runs one whole-prompt prefill pass over every request in the prefill

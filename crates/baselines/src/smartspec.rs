@@ -12,7 +12,7 @@
 use crate::common;
 use roofline::{ForwardPass, SeqWork};
 use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
-use spectree::{verify_tree, SpecParams};
+use spectree::{verify_tree, CandidatePool, SpecParams};
 
 /// The SmartSpec-style baseline engine.
 #[derive(Debug)]
@@ -23,7 +23,7 @@ pub struct SmartSpecEngine {
     /// EMA of the per-position acceptance rate α.
     alpha: f64,
     /// Pooled draft chains.
-    spec: common::SpecPool,
+    spec: CandidatePool,
 }
 
 impl SmartSpecEngine {
@@ -33,7 +33,7 @@ impl SmartSpecEngine {
             core: EngineCore::new(config),
             max_len: 8,
             alpha: 0.7,
-            spec: common::SpecPool::default(),
+            spec: CandidatePool::new(),
         }
     }
 
@@ -174,7 +174,7 @@ impl ServingEngine for SmartSpecEngine {
                 .forward_latency_ms(&step_pass, true)
                 * f64::from(k - 1);
         }
-        let chains = self.spec.speculate(&self.core, &indices, params);
+        let chains = common::speculate(&mut self.spec, &self.core, &indices, params);
         self.core.breakdown.speculation_ms += draft_ms;
 
         let mut pass = ForwardPass::default();

@@ -11,14 +11,14 @@
 use crate::common;
 use roofline::{ForwardPass, SeqWork};
 use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
-use spectree::{verify_tree, SpecParams};
+use spectree::{verify_tree, CandidatePool, SpecParams};
 
 /// The static-tree speculation baseline engine.
 #[derive(Debug)]
 pub struct StaticTreeEngine {
     core: EngineCore,
     params: SpecParams,
-    spec: common::SpecPool,
+    spec: CandidatePool,
 }
 
 impl StaticTreeEngine {
@@ -27,7 +27,7 @@ impl StaticTreeEngine {
         Self {
             core: EngineCore::new(config),
             params: SpecParams::new(depth, width),
-            spec: common::SpecPool::default(),
+            spec: CandidatePool::new(),
         }
     }
 }
@@ -116,7 +116,7 @@ impl ServingEngine for StaticTreeEngine {
                 .forward_latency_ms(&rest, true)
                 * f64::from(self.params.depth - 1);
         }
-        let trees = self.spec.speculate(&self.core, &indices, self.params);
+        let trees = common::speculate(&mut self.spec, &self.core, &indices, self.params);
         self.core.breakdown.speculation_ms += draft_ms;
 
         let mut pass = ForwardPass::default();

@@ -11,7 +11,7 @@
 use crate::common;
 use roofline::{ForwardPass, SeqWork};
 use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
-use spectree::{verify_tree, SpecParams};
+use spectree::{verify_tree, CandidatePool, SpecParams};
 
 /// The vLLM-Spec(k) baseline engine.
 #[derive(Debug)]
@@ -20,7 +20,7 @@ pub struct VllmSpecEngine {
     /// Fixed speculation length (the paper evaluates k ∈ {4, 6, 8}).
     spec_len: u32,
     /// Pooled draft chains.
-    spec: common::SpecPool,
+    spec: CandidatePool,
 }
 
 impl VllmSpecEngine {
@@ -34,7 +34,7 @@ impl VllmSpecEngine {
         Self {
             core: EngineCore::new(config),
             spec_len,
-            spec: common::SpecPool::default(),
+            spec: CandidatePool::new(),
         }
     }
 }
@@ -120,7 +120,7 @@ impl ServingEngine for VllmSpecEngine {
                 draft_ms += per * f64::from(self.spec_len - 1);
             }
         }
-        let chains = self.spec.speculate(&self.core, &indices, params);
+        let chains = common::speculate(&mut self.spec, &self.core, &indices, params);
         self.core.breakdown.speculation_ms += draft_ms;
 
         // ---- Verify all chains in one batched pass. ----

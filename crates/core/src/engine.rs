@@ -20,8 +20,7 @@ use crate::scsd::{select_tokens_with, selectable_prefix, ScsdInput, ScsdScratch}
 use roofline::{BudgetPolicy, ForwardPass, SeqWork, TokenBudgetProfile};
 use serving::{EngineCore, Phase, ServingEngine, StepResult, SystemConfig};
 use spectree::{
-    verify_tree_with, CandidateTree, SpecParams, SpeculateScratch, SubtreeScratch, TokenTree,
-    VerifyScratch,
+    verify_tree_with, CandidatePool, SpecParams, SubtreeScratch, TokenTree, VerifyScratch,
 };
 use std::collections::HashMap;
 use std::time::Instant;
@@ -80,14 +79,12 @@ struct IterScratch {
     requirements: Vec<f64>,
     /// Selection working state (candidate orders, counters, heap).
     scsd: ScsdScratch,
-    /// Beam-search buffers.
-    spec: SpeculateScratch,
+    /// Pooled candidate trees and beam-search buffers.
+    spec: CandidatePool,
     /// Subtree-extraction buffers (kept-id sort, dense remap).
     subtree: SubtreeScratch,
     /// Verification-walk buffers (extended context, path tokens).
     verify: VerifyScratch,
-    /// Pooled candidate trees (rebuilt in place each iteration).
-    candidates: Vec<CandidateTree>,
     /// Pooled selected draft trees (rebuilt in place each iteration).
     draft_trees: Vec<TokenTree>,
     /// Iterations in which any buffer above grew its allocation.
@@ -107,12 +104,7 @@ impl IterScratch {
             + self.scsd.capacity_sum()
             + self.subtree.capacity_sum()
             + self.verify.capacity_sum()
-            + self.candidates.capacity()
-            + self
-                .candidates
-                .iter()
-                .map(CandidateTree::capacity_sum)
-                .sum::<usize>()
+            + self.spec.trees_capacity_sum()
             + self.draft_trees.capacity()
             + self
                 .draft_trees
@@ -344,17 +336,16 @@ impl ServingEngine for AdaServeEngine {
             // arena, layer list and beam buffers all reused. Only the
             // prefix selection can read is built; the draft cost above
             // still prices the whole beam.
-            let scratch = &mut self.scratch;
-            if scratch.candidates.len() < n {
-                scratch.candidates.resize_with(n, CandidateTree::empty);
-            }
             let running = &self.core.running;
-            let draft = self.core.config.pair.draft();
-            let stop = selectable_prefix(self.scheduler.n_max, self.options.min_phase2_prob);
-            for (cand, &i) in scratch.candidates.iter_mut().zip(&scratch.decoding) {
-                let ctx = running[i].lm_context();
-                cand.speculate_with(draft, &ctx, params, stop, &mut scratch.spec);
-            }
+            self.scratch.spec.speculate(
+                self.core.config.pair.draft(),
+                self.scratch
+                    .decoding
+                    .iter()
+                    .map(|&i| running[i].lm_context()),
+                params,
+                selectable_prefix(self.scheduler.n_max, self.options.min_phase2_prob),
+            );
         }
         self.core.breakdown.speculation_ms += draft_ms;
 
@@ -368,7 +359,7 @@ impl ServingEngine for AdaServeEngine {
                 params.depth,
                 &mut scratch.requirements,
             );
-            let candidates = &scratch.candidates[..n];
+            let candidates = scratch.spec.trees();
             let budget = self.scheduler.verify_budget.saturating_sub(n as u64); // roots
             select_tokens_with(
                 &ScsdInput {
@@ -462,7 +453,7 @@ impl ServingEngine for AdaServeEngine {
         self.core.hotloop.dist_cache_hits = cache.hits;
         self.core.hotloop.dist_cache_misses = cache.misses;
         self.core.hotloop.scratch_grow_events =
-            self.scratch.grow_events + self.scratch.spec.grow_events();
+            self.scratch.grow_events + self.scratch.spec.scratch_grow_events();
         self.core.hotloop.iterations += 1;
         self.core.hotloop.peak_decode_batch = self.core.hotloop.peak_decode_batch.max(n as u64);
 

@@ -45,7 +45,8 @@
 //! the simulator just skips computing nodes that selection never reads.
 //!
 //! The construction is allocation-free at steady state: all transient
-//! buffers live in a caller-owned [`SpeculateScratch`], and draft
+//! buffers live in a caller-owned [`SpeculateScratch`] (an engine keeps one
+//! inside a [`CandidatePool`] with its pooled trees), and draft
 //! distributions arrive through [`simllm::Lm::top_w_extended`].
 
 use crate::tree::{NodeId, TokenTree};
@@ -405,15 +406,69 @@ impl CandidateTree {
         self.layers[k].clone().map(NodeId)
     }
 
-    /// Allocated capacity of the tree arena plus the layer list
-    /// (allocation-discipline probe for pooled trees).
-    pub fn capacity_sum(&self) -> usize {
-        self.tree.arena_capacity() + self.layers.capacity()
-    }
-
     /// Achieved depth (may be below the requested depth if beams emptied).
     pub fn depth(&self) -> u32 {
         self.layers.len() as u32
+    }
+}
+
+/// Pooled candidate trees plus one [`SpeculateScratch`]: an engine keeps
+/// one pool and rebuilds its per-request trees in place every iteration,
+/// allocating nothing once warm.
+#[derive(Debug, Default)]
+pub struct CandidatePool {
+    trees: Vec<CandidateTree>,
+    /// Trees built by the last [`CandidatePool::speculate`] call.
+    len: usize,
+    scratch: SpeculateScratch,
+}
+
+impl CandidatePool {
+    /// Creates an empty pool.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Builds one tree per context with [`CandidateTree::speculate_with`];
+    /// returns them in context order.
+    pub fn speculate<'a>(
+        &mut self,
+        lm: &dyn Lm,
+        contexts: impl IntoIterator<Item = LmContext<'a>>,
+        params: SpecParams,
+        stop: BeamStop,
+    ) -> &[CandidateTree] {
+        self.len = 0;
+        for ctx in contexts {
+            if self.len == self.trees.len() {
+                self.trees.push(CandidateTree::empty());
+            }
+            self.trees[self.len].speculate_with(lm, &ctx, params, stop, &mut self.scratch);
+            self.len += 1;
+        }
+        self.trees()
+    }
+
+    /// The trees of the last [`CandidatePool::speculate`] call.
+    pub fn trees(&self) -> &[CandidateTree] {
+        &self.trees[..self.len]
+    }
+
+    /// Allocated capacity of the pooled trees (allocation-discipline
+    /// probe; the scratch reports its own growth through
+    /// [`CandidatePool::scratch_grow_events`]).
+    pub fn trees_capacity_sum(&self) -> usize {
+        self.trees.capacity()
+            + self
+                .trees
+                .iter()
+                .map(|t| t.tree.arena_capacity() + t.layers.capacity())
+                .sum::<usize>()
+    }
+
+    /// [`SpeculateScratch::grow_events`] of the pool's scratch.
+    pub fn scratch_grow_events(&self) -> u64 {
+        self.scratch.grow_events()
     }
 }
 

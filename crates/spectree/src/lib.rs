@@ -27,7 +27,7 @@ pub mod mask;
 pub mod tree;
 pub mod verify;
 
-pub use candidate::{BeamStop, CandidateTree, SpecParams, SpeculateScratch};
+pub use candidate::{BeamStop, CandidatePool, CandidateTree, SpecParams, SpeculateScratch};
 pub use mask::TreeMask;
 pub use tree::{NodeId, SubtreeScratch, TokenTree, TreeError};
 pub use verify::{
