@@ -2143,6 +2143,79 @@ mod tests {
         );
     }
 
+    fn slo_summary() -> BenchSummary {
+        let mut summary = BenchSummary::new("fig_cluster_scaling", "full", 7, 30_000.0);
+        summary.push_report("replicas=4 rps=8.0 router=slo-aware", &report());
+        summary
+    }
+
+    /// One fixed artifact per kind, emitted byte for byte: key order,
+    /// number formatting and the envelope are part of the contract the
+    /// committed `BENCH_*.json` files and their consumers rely on.
+    #[test]
+    fn emitted_bytes_are_pinned_for_every_kind() {
+        for (kind, text, golden) in [
+            (
+                "slo",
+                slo_summary().to_json_string(),
+                concat!(
+                    r#"{"duration_ms":30000,"mode":"full","name":"fig_cluster_scaling","rows":[{"goodput_tps":148.148148,"label":"replicas=4 rps=8.0 router=slo-aware","p50_tpot_ms":40,"p50_ttft_ms":5,"p99_tpot_ms":40,"p99_ttft_ms":5,"requests":6,"slo_attainment_pct":100,"throughput_tps":148.148148,"tiers":[{"attainment_pct":100,"mean_tpot_ms":40,"p99_tpot_ms":40,"requests":3,"tier":"chat"},{"attainment_pct":100,"mean_tpot_ms":40,"p99_tpot_ms":40,"requests":3,"tier":"summarization"}],"ttft_attainment_pct":100}],"schema_version":2,"seed":7}"#,
+                    "\n"
+                ),
+            ),
+            (
+                "perf",
+                perf_summary().to_json_string(),
+                concat!(
+                    r#"{"duration_ms":10000,"kind":"perf","mode":"smoke","name":"perf_report","rows":[{"dist_cache_hit_rate_pct":9.5,"iterations":296,"iterations_per_sec":4553,"label":"colocated rps=2","peak_decode_batch":7,"scheduling_share_pct":0.02,"sim_ms":10250,"sim_tokens":4200,"sim_tokens_per_sec":64615,"trace_dropped":0,"wall_ms":65}],"schema_version":2,"seed":7}"#,
+                    "\n"
+                ),
+            ),
+            (
+                "fleet",
+                fleet_summary().to_json_string(),
+                concat!(
+                    r#"{"kind":"fleet","mode":"smoke","name":"fig_fleet_scaling","rows":[{"exec":"sequential","iterations":3000,"iterations_per_sec":10344.827586,"replicas":4,"requests":80,"sim_ms":10000,"speedup":1,"wall_ms":290,"workers":1},{"exec":"sharded","iterations":3000,"iterations_per_sec":11494.252874,"replicas":4,"requests":80,"sim_ms":10000,"speedup":1.11,"wall_ms":261,"workers":4}],"schema_version":2,"seed":7}"#,
+                    "\n"
+                ),
+            ),
+            (
+                "prefix",
+                prefix_summary().to_json_string(),
+                concat!(
+                    r#"{"duration_ms":10000,"kind":"prefix","mode":"smoke","name":"fig_prefix_cache","rows":[{"cache":"off","label":"share=90% rps=3.0","mean_ttft_ms":230,"p50_ttft_ms":210,"p99_ttft_ms":630,"prefill_tokens_saved":0,"prefix_hit_rate_pct":0,"prefix_share_pct":90,"requests":30,"rps":3,"slo_attainment_pct":100,"ttft_attainment_pct":100},{"cache":"on","label":"share=90% rps=3.0","mean_ttft_ms":160,"p50_ttft_ms":140,"p99_ttft_ms":420,"prefill_tokens_saved":40960,"prefix_hit_rate_pct":72.5,"prefix_share_pct":90,"requests":30,"rps":3,"slo_attainment_pct":100,"ttft_attainment_pct":100}],"schema_version":2,"seed":7}"#,
+                    "\n"
+                ),
+            ),
+            (
+                "attribution",
+                attribution_summary().to_json_string(),
+                concat!(
+                    r#"{"duration_ms":10000,"kind":"attribution","mode":"smoke","name":"fig_slo_attribution","rows":[{"decode_pct":33,"dominant":"prefill","fallback_all_requests":true,"label":"rps=3.0","preemption_pct":0,"prefill_pct":55,"queueing_pct":12,"requests":30,"rps":3,"tier":"chatbot","transfer_pct":0,"violations":0},{"decode_pct":25,"dominant":"queueing","fallback_all_requests":false,"label":"rps=3.0","preemption_pct":0,"prefill_pct":14,"queueing_pct":61,"requests":30,"rps":3,"tier":"coding","transfer_pct":0,"violations":3}],"schema_version":2,"seed":7}"#,
+                    "\n"
+                ),
+            ),
+            (
+                "autoscale",
+                autoscale_summary().to_json_string(),
+                concat!(
+                    r#"{"duration_ms":30000,"kind":"autoscale","mode":"smoke","name":"fig_autoscale","rows":[{"burst_attainment_pct":89,"drains":0,"joins":0,"label":"static-max","peak_replicas":4,"policy":"fifo","rejected":0,"replica_hours":0.033,"replicas_max":4,"requests":120,"slo_attainment_pct":96,"steady_attainment_pct":98,"tenant_spread_pct":11,"ttft_attainment_pct":94,"worst_tenant_pct":89},{"burst_attainment_pct":89,"drains":4,"joins":2,"label":"autoscale-fifo","peak_replicas":3,"policy":"fifo","rejected":0,"replica_hours":0.014,"replicas_max":4,"requests":120,"slo_attainment_pct":96,"steady_attainment_pct":98,"tenant_spread_pct":14,"ttft_attainment_pct":94,"worst_tenant_pct":86},{"burst_attainment_pct":89,"drains":4,"joins":2,"label":"autoscale-fair","peak_replicas":3,"policy":"fair","rejected":0,"replica_hours":0.015,"replicas_max":4,"requests":120,"slo_attainment_pct":96,"steady_attainment_pct":98,"tenant_spread_pct":6,"ttft_attainment_pct":94,"worst_tenant_pct":94}],"schema_version":2,"seed":7}"#,
+                    "\n"
+                ),
+            ),
+            (
+                "chaos",
+                chaos_summary().to_json_string(),
+                concat!(
+                    r#"{"duration_ms":20000,"kind":"chaos","mode":"smoke","name":"fig_chaos","rows":[{"faults":0,"finished":90,"label":"no-fault","mean_ttft_ms":310,"offered":90,"offered_attainment_pct":95,"recovery":"n/a","rejected":0,"retries":0,"slo_attainment_pct":95},{"faults":2,"finished":82,"label":"fault-no-recovery","mean_ttft_ms":310,"offered":90,"offered_attainment_pct":74,"recovery":"none","rejected":8,"retries":0,"slo_attainment_pct":95},{"faults":2,"finished":90,"label":"fault-with-recovery","mean_ttft_ms":310,"offered":90,"offered_attainment_pct":88,"recovery":"retry","rejected":0,"retries":9,"slo_attainment_pct":95}],"schema_version":2,"seed":7}"#,
+                    "\n"
+                ),
+            ),
+        ] {
+            assert_eq!(text, golden, "{kind} artifact bytes changed");
+        }
+    }
+
     #[test]
     fn kind_dispatch_keeps_slo_artifacts_on_the_slo_schema() {
         // An SLO artifact (no "kind") must not be validated as perf.
