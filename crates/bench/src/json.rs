@@ -127,6 +127,11 @@ pub fn fmt_f64(x: f64) -> String {
         if s.ends_with('.') {
             s.pop();
         }
+        // A negative value that rounds to zero would print "-0", which
+        // parses back as an integral zero and then prints "0".
+        if s == "-0" {
+            s.remove(0);
+        }
         s
     }
 }
@@ -397,6 +402,7 @@ mod tests {
         assert_eq!(fmt_f64(f64::NAN), "0");
         assert_eq!(fmt_f64(f64::INFINITY), "0");
         assert_eq!(fmt_f64(-2.5), "-2.5");
+        assert_eq!(fmt_f64(-1e-9), "0");
     }
 
     #[test]
