@@ -11,7 +11,8 @@
 //! adaserve_sim --list-engines
 //! ```
 
-use adaserve_bench::{is_smoke, seed, serve_one_traced, BenchSummary, EngineKind, ModelSetup};
+use adaserve_bench::summary::{slo_row, SLO};
+use adaserve_bench::{seed, serve_one_traced, Artifact, EngineKind, ModelSetup};
 use metrics::telemetry::{perfetto, Tracer};
 use metrics::Table;
 use workload::{CategoryMix, TraceKind, WorkloadBuilder};
@@ -226,16 +227,12 @@ fn main() {
         eprintln!("wrote {} ({} trace events)", path.display(), events.len());
     }
     if let Some(path) = args.json_out {
-        let mut summary = BenchSummary::new(
-            "adaserve_sim",
-            if is_smoke() { "smoke" } else { "full" },
-            args.seed,
-            args.duration_s * 1e3,
-        );
-        summary.push_report(
+        let mut summary =
+            Artifact::new(&SLO, "adaserve_sim", args.seed, Some(args.duration_s * 1e3));
+        summary.rows.push(slo_row(
             format!("engine={} model={}", kind.name(), args.model.name()),
             &report,
-        );
+        ));
         summary.write(&path).expect("write BENCH json");
     }
 }

@@ -24,7 +24,9 @@
 //! ADASERVE_SMOKE=1 fig_autoscale --json-out BENCH_autoscale.json
 //! ```
 
-use adaserve_bench::{AutoscaleRow, AutoscaleSummary};
+use adaserve_bench::json::Json;
+use adaserve_bench::summary::{num, row, text, AUTOSCALE};
+use adaserve_bench::Artifact;
 use adaserve_core::AdaServeEngine;
 use cluster::{Cluster, RouterKind};
 use scenario::{
@@ -139,7 +141,7 @@ fn windowed_attainment(report: &RunReport, burst_start: f64, burst_end: f64) -> 
 
 /// Lowers one configuration's run into an artifact row.
 #[allow(clippy::too_many_arguments)]
-fn row(
+fn autoscale_row(
     label: &str,
     policy: &str,
     sw: &ScenarioWorkload,
@@ -148,27 +150,30 @@ fn row(
     replica_hours: f64,
     peak_replicas: usize,
     actions: (u32, u32),
-) -> AutoscaleRow {
+) -> Json {
     let slo = report.report();
     let (steady, burst_att) = windowed_attainment(report, burst.0, burst.1);
     let fairness = sw.fairness_report(report);
-    AutoscaleRow {
-        label: label.into(),
-        policy: policy.into(),
-        replicas_max: MAX_REPLICAS,
-        requests: report.records.len(),
-        rejected: report.rejected.len(),
-        slo_attainment_pct: slo.attainment_pct,
-        ttft_attainment_pct: slo.ttft_attainment_pct,
-        steady_attainment_pct: steady,
-        burst_attainment_pct: burst_att,
-        replica_hours,
-        peak_replicas,
-        joins: actions.0 as usize,
-        drains: actions.1 as usize,
-        tenant_spread_pct: fairness.spread_pct(),
-        worst_tenant_pct: fairness.worst_attainment_pct(),
-    }
+    row([
+        ("label", Json::Str(label.into())),
+        ("policy", Json::Str(policy.into())),
+        ("replicas_max", Json::Num(MAX_REPLICAS as f64)),
+        ("requests", Json::Num(report.records.len() as f64)),
+        ("rejected", Json::Num(report.rejected.len() as f64)),
+        ("slo_attainment_pct", Json::Num(slo.attainment_pct)),
+        ("ttft_attainment_pct", Json::Num(slo.ttft_attainment_pct)),
+        ("steady_attainment_pct", Json::Num(steady)),
+        ("burst_attainment_pct", Json::Num(burst_att)),
+        ("replica_hours", Json::Num(replica_hours)),
+        ("peak_replicas", Json::Num(peak_replicas as f64)),
+        ("joins", Json::Num(f64::from(actions.0))),
+        ("drains", Json::Num(f64::from(actions.1))),
+        ("tenant_spread_pct", Json::Num(fairness.spread_pct())),
+        (
+            "worst_tenant_pct",
+            Json::Num(fairness.worst_attainment_pct()),
+        ),
+    ])
 }
 
 /// One closed-loop autoscaled run over `deploy` (already wrapped in
@@ -199,7 +204,6 @@ fn autoscaled<D: serving::Deployment>(
 fn main() {
     adaserve_bench::check_sweep_args("fig_autoscale");
     let seed = adaserve_bench::seed();
-    let smoke = adaserve_bench::is_smoke();
     let json_out = adaserve_bench::parse_json_out();
     let duration_ms = adaserve_bench::sweep_duration_ms(20_000.0, 60_000.0);
 
@@ -212,12 +216,7 @@ fn main() {
         burst_end / 1e3,
     );
 
-    let mut summary = AutoscaleSummary::new(
-        "fig_autoscale",
-        if smoke { "smoke" } else { "full" },
-        seed,
-        duration_ms,
-    );
+    let mut summary = Artifact::new(&AUTOSCALE, "fig_autoscale", seed, Some(duration_ms));
 
     let mut tenant_detail = Vec::new();
 
@@ -229,7 +228,7 @@ fn main() {
     .serve(&sw.workload)
     .expect("static run completes");
     let static_hours = MAX_REPLICAS as f64 * static_report.end_ms / 3_600_000.0;
-    summary.rows.push(row(
+    summary.rows.push(autoscale_row(
         "static-max",
         "fifo",
         &sw,
@@ -244,7 +243,7 @@ fn main() {
     // Closed-loop autoscaling, FIFO admission.
     let cluster = Cluster::new(engines(seed), RouterKind::LeastOutstanding.build());
     let (report, hours, peak, actions) = autoscaled(cluster, &sw);
-    summary.rows.push(row(
+    summary.rows.push(autoscale_row(
         "autoscale-fifo",
         "fifo",
         &sw,
@@ -260,7 +259,7 @@ fn main() {
     let cluster = Cluster::new(engines(seed), RouterKind::LeastOutstanding.build());
     let fair = FairFrontDoor::new(cluster, &sw.tenants, sw.tenant_table(), FAIR_WINDOW);
     let (report, hours, peak, actions) = autoscaled(fair, &sw);
-    summary.rows.push(row(
+    summary.rows.push(autoscale_row(
         "autoscale-fair",
         "fair",
         &sw,
@@ -290,19 +289,19 @@ fn main() {
     for (r, fairness) in summary.rows.iter().zip(&tenant_detail) {
         println!(
             "{:<15} {:>6} {:>6} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>9.4} {:>5} {:>3}/{:<2} {:>7.1} {:>8.1}",
-            r.label,
-            r.requests,
-            r.rejected,
-            r.slo_attainment_pct,
-            r.ttft_attainment_pct,
-            r.steady_attainment_pct,
-            r.burst_attainment_pct,
-            r.replica_hours,
-            r.peak_replicas,
-            r.joins,
-            r.drains,
-            r.tenant_spread_pct,
-            r.worst_tenant_pct,
+            text(r, "label"),
+            num(r, "requests"),
+            num(r, "rejected"),
+            num(r, "slo_attainment_pct"),
+            num(r, "ttft_attainment_pct"),
+            num(r, "steady_attainment_pct"),
+            num(r, "burst_attainment_pct"),
+            num(r, "replica_hours"),
+            num(r, "peak_replicas"),
+            num(r, "joins"),
+            num(r, "drains"),
+            num(r, "tenant_spread_pct"),
+            num(r, "worst_tenant_pct"),
         );
         for t in &fairness.tenants {
             println!(

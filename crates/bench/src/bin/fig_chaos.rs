@@ -29,7 +29,9 @@
 //! ADASERVE_SMOKE=1 fig_chaos --json-out BENCH_chaos.json
 //! ```
 
-use adaserve_bench::{ChaosRow, ChaosSummary};
+use adaserve_bench::json::Json;
+use adaserve_bench::summary::{num, row, text, CHAOS};
+use adaserve_bench::Artifact;
 use adaserve_core::AdaServeEngine;
 use cluster::{Cluster, RouterKind};
 use scenario::{ArrivalProcess, Scenario, ScenarioWorkload, TenantSpec};
@@ -89,7 +91,7 @@ fn fleet(seed: u64) -> Cluster {
 
 /// Lowers one configuration's run into an artifact row. Offered-basis
 /// attainment counts every front-door rejection as a miss.
-fn row(label: &str, recovery: &str, faults: usize, report: &RunReport) -> ChaosRow {
+fn chaos_row(label: &str, recovery: &str, faults: usize, report: &RunReport) -> Json {
     let finished = report.records.len();
     let rejected = report.rejected.len();
     let offered = finished + rejected;
@@ -115,24 +117,23 @@ fn row(label: &str, recovery: &str, faults: usize, report: &RunReport) -> ChaosR
             .sum::<f64>()
             / finished as f64
     };
-    ChaosRow {
-        label: label.into(),
-        recovery: recovery.into(),
-        faults,
-        offered,
-        finished,
-        rejected,
-        retries: report.retries_scheduled,
-        slo_attainment_pct: pct(ok, finished),
-        offered_attainment_pct: pct(ok, offered),
-        mean_ttft_ms,
-    }
+    row([
+        ("label", Json::Str(label.into())),
+        ("recovery", Json::Str(recovery.into())),
+        ("faults", Json::Num(faults as f64)),
+        ("offered", Json::Num(offered as f64)),
+        ("finished", Json::Num(finished as f64)),
+        ("rejected", Json::Num(rejected as f64)),
+        ("retries", Json::Num(report.retries_scheduled as f64)),
+        ("slo_attainment_pct", Json::Num(pct(ok, finished))),
+        ("offered_attainment_pct", Json::Num(pct(ok, offered))),
+        ("mean_ttft_ms", Json::Num(mean_ttft_ms)),
+    ])
 }
 
 fn main() {
     adaserve_bench::check_sweep_args("fig_chaos");
     let seed = adaserve_bench::seed();
-    let smoke = adaserve_bench::is_smoke();
     let json_out = adaserve_bench::parse_json_out();
     let duration_ms = adaserve_bench::sweep_duration_ms(20_000.0, 60_000.0);
 
@@ -156,24 +157,21 @@ fn main() {
     }
     println!();
 
-    let mut summary = ChaosSummary::new(
-        "fig_chaos",
-        if smoke { "smoke" } else { "full" },
-        seed,
-        duration_ms,
-    );
+    let mut summary = Artifact::new(&CHAOS, "fig_chaos", seed, Some(duration_ms));
 
     let baseline = ServeSession::new(fleet(seed))
         .serve(&sw.workload)
         .expect("no-fault run completes");
-    summary.rows.push(row("no-fault", "n/a", 0, &baseline));
+    summary
+        .rows
+        .push(chaos_row("no-fault", "n/a", 0, &baseline));
 
     let unrecovered = ServeSession::new(fleet(seed))
         .with_fault_plan(plan.clone())
         .with_recovery_policy(RecoveryPolicy::no_retry())
         .serve(&sw.workload)
         .expect("no-recovery run completes");
-    summary.rows.push(row(
+    summary.rows.push(chaos_row(
         "fault-no-recovery",
         "none",
         plan.events().len(),
@@ -185,7 +183,7 @@ fn main() {
         .with_recovery_policy(RecoveryPolicy::default())
         .serve(&sw.workload)
         .expect("with-recovery run completes");
-    summary.rows.push(row(
+    summary.rows.push(chaos_row(
         "fault-with-recovery",
         "retry",
         plan.events().len(),
@@ -207,15 +205,15 @@ fn main() {
     for r in &summary.rows {
         println!(
             "{:<22} {:>8} {:>7} {:>8} {:>8} {:>7} {:>9.1} {:>11.1} {:>10.1}",
-            r.label,
-            r.recovery,
-            r.offered,
-            r.finished,
-            r.rejected,
-            r.retries,
-            r.slo_attainment_pct,
-            r.offered_attainment_pct,
-            r.mean_ttft_ms,
+            text(r, "label"),
+            text(r, "recovery"),
+            num(r, "offered"),
+            num(r, "finished"),
+            num(r, "rejected"),
+            num(r, "retries"),
+            num(r, "slo_attainment_pct"),
+            num(r, "offered_attainment_pct"),
+            num(r, "mean_ttft_ms"),
         );
     }
 

@@ -18,9 +18,10 @@
 //! ADASERVE_SMOKE=1 fig_cluster_scaling --json-out BENCH_smoke.json
 //! ```
 
+use adaserve_bench::summary::{slo_row, SLO};
 use adaserve_bench::{
     check_sweep_args, expect_no_rejections, is_smoke, par_map, parse_json_out, seed,
-    sweep_duration_ms, BenchSummary,
+    sweep_duration_ms, Artifact,
 };
 use adaserve_core::AdaServeEngine;
 use cluster::{Cluster, RouterKind};
@@ -98,12 +99,7 @@ fn main() {
         report
     });
 
-    let mut summary = BenchSummary::new(
-        "fig_cluster_scaling",
-        if smoke { "smoke" } else { "full" },
-        seed,
-        duration_ms,
-    );
+    let mut summary = Artifact::new(&SLO, "fig_cluster_scaling", seed, Some(duration_ms));
     let mut header: Vec<String> = vec!["replicas".into(), "rps/replica".into()];
     header.extend(RouterKind::ALL.iter().map(|r| r.name().to_string()));
     let mut attain = Table::new(header.clone());
@@ -112,10 +108,10 @@ fn main() {
 
     let reports: Vec<metrics::SloReport> = results.iter().map(RunReport::report).collect();
     for (ji, &(n, rps, router)) in jobs.iter().enumerate() {
-        summary.push_report(
+        summary.rows.push(slo_row(
             format!("replicas={n} rps={rps:.1} router={}", router.name()),
             &reports[ji],
-        );
+        ));
         // Router is the innermost sweep variable: each (n, rps) pair owns
         // one table row spanning all routers.
         if router == RouterKind::ALL[0] {

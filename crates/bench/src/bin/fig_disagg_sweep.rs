@@ -23,9 +23,10 @@
 //! ADASERVE_SMOKE=1 fig_disagg_sweep --json-out BENCH_disagg_smoke.json
 //! ```
 
+use adaserve_bench::summary::{slo_row, SLO};
 use adaserve_bench::{
     check_sweep_args, expect_no_rejections, is_smoke, par_map, parse_json_out, seed,
-    sweep_duration_ms, BenchSummary,
+    sweep_duration_ms, Artifact,
 };
 use adaserve_core::AdaServeEngine;
 use cluster::{Cluster, RouterKind};
@@ -154,12 +155,7 @@ fn main() {
         run_one(deployment, &workload, seed)
     });
 
-    let mut summary = BenchSummary::new(
-        "fig_disagg_sweep",
-        if smoke { "smoke" } else { "full" },
-        seed,
-        duration_ms,
-    );
+    let mut summary = Artifact::new(&SLO, "fig_disagg_sweep", seed, Some(duration_ms));
     let mut table = Table::new(vec![
         "rps".into(),
         "deployment".into(),
@@ -170,7 +166,9 @@ fn main() {
     ]);
     for (ji, &(rps, deployment)) in jobs.iter().enumerate() {
         let r = &reports[ji];
-        summary.push_report(format!("rps={rps:.1} {}", deployment.label()), r);
+        summary
+            .rows
+            .push(slo_row(format!("rps={rps:.1} {}", deployment.label()), r));
         table.row(vec![
             format!("{rps:.1}"),
             deployment.label(),

@@ -20,7 +20,9 @@
 //! ADASERVE_SMOKE=1 fig_fleet_scaling --json-out BENCH_fleet_scaling.json
 //! ```
 
-use adaserve_bench::{FleetRow, FleetSummary};
+use adaserve_bench::json::Json;
+use adaserve_bench::summary::{num, row, text, FLEET};
+use adaserve_bench::Artifact;
 use adaserve_core::AdaServeEngine;
 use cluster::{Cluster, RouterKind};
 use serving::{ExecMode, RunReport, ServeSession, ServingEngine, SystemConfig};
@@ -58,24 +60,27 @@ fn timed(n: usize, seed: u64, mode: ExecMode, wl: &Workload) -> (RunReport, f64)
     (report, start.elapsed().as_secs_f64() * 1e3)
 }
 
-fn row(n: usize, mode: ExecMode, report: &RunReport, wall_ms: f64, seq_wall_ms: f64) -> FleetRow {
-    FleetRow {
-        replicas: n,
-        mode: mode.label(),
-        workers: mode.effective_workers(),
-        wall_ms,
-        sim_ms: report.end_ms,
-        requests: report.records.len(),
-        iterations: report.iterations,
-        iterations_per_sec: report.iterations as f64 / (wall_ms / 1e3).max(1e-9),
-        speedup: seq_wall_ms / wall_ms.max(1e-9),
-    }
+fn fleet_row(n: usize, mode: ExecMode, report: &RunReport, wall_ms: f64, seq_wall_ms: f64) -> Json {
+    let iterations = report.iterations as f64;
+    row([
+        ("replicas", Json::Num(n as f64)),
+        ("exec", Json::Str(mode.label())),
+        ("workers", Json::Num(mode.effective_workers() as f64)),
+        ("wall_ms", Json::Num(wall_ms)),
+        ("sim_ms", Json::Num(report.end_ms)),
+        ("requests", Json::Num(report.records.len() as f64)),
+        ("iterations", Json::Num(iterations)),
+        (
+            "iterations_per_sec",
+            Json::Num(iterations / (wall_ms / 1e3).max(1e-9)),
+        ),
+        ("speedup", Json::Num(seq_wall_ms / wall_ms.max(1e-9))),
+    ])
 }
 
 fn main() {
     adaserve_bench::check_sweep_args("fig_fleet_scaling");
     let seed = adaserve_bench::seed();
-    let smoke = adaserve_bench::is_smoke();
     let json_out = adaserve_bench::parse_json_out();
     let exec = adaserve_bench::exec_mode();
     // Per-row simulated duration is base/N: constant aggregate work per
@@ -90,11 +95,7 @@ fn main() {
         base_ms / 1e3,
     );
 
-    let mut summary = FleetSummary::new(
-        "fig_fleet_scaling",
-        if smoke { "smoke" } else { "full" },
-        seed,
-    );
+    let mut summary = Artifact::new(&FLEET, "fig_fleet_scaling", seed, None);
     println!(
         "{:>8} {:<12} {:>7} {:>10} {:>10} {:>8} {:>10} {:>8}",
         "replicas", "exec", "workers", "wall_ms", "sim_ms", "reqs", "iters/s", "speedup"
@@ -141,20 +142,20 @@ fn main() {
             exec.label(),
         );
         let rows = [
-            row(n, ExecMode::Sequential, &seq_report, seq_best, seq_best),
-            row(n, exec, &exec_report, exec_best, seq_best),
+            fleet_row(n, ExecMode::Sequential, &seq_report, seq_best, seq_best),
+            fleet_row(n, exec, &exec_report, exec_best, seq_best),
         ];
         for r in rows {
             println!(
                 "{:>8} {:<12} {:>7} {:>10.1} {:>10.0} {:>8} {:>10.0} {:>8.2}",
-                r.replicas,
-                r.mode,
-                r.workers,
-                r.wall_ms,
-                r.sim_ms,
-                r.requests,
-                r.iterations_per_sec,
-                r.speedup,
+                num(&r, "replicas"),
+                text(&r, "exec"),
+                num(&r, "workers"),
+                num(&r, "wall_ms"),
+                num(&r, "sim_ms"),
+                num(&r, "requests"),
+                num(&r, "iterations_per_sec"),
+                num(&r, "speedup"),
             );
             summary.rows.push(r);
         }

@@ -16,7 +16,9 @@
 //! ADASERVE_SMOKE=1 fig_prefix_cache --json-out BENCH_prefix.json
 //! ```
 
-use adaserve_bench::{PrefixRow, PrefixSummary};
+use adaserve_bench::json::Json;
+use adaserve_bench::summary::{num, row, text, PREFIX};
+use adaserve_bench::Artifact;
 use adaserve_core::AdaServeEngine;
 use serving::{RunResult, ServingEngine, SystemConfig};
 use workload::{Workload, WorkloadBuilder};
@@ -39,29 +41,35 @@ fn engine(seed: u64, cache_on: bool) -> Box<dyn ServingEngine> {
     Box::new(AdaServeEngine::new(config))
 }
 
-fn row(label: &str, share_pct: f64, rps: f64, cache_on: bool, result: &RunResult) -> PrefixRow {
+fn prefix_row(label: &str, share_pct: f64, rps: f64, cache_on: bool, result: &RunResult) -> Json {
     let report = result.report();
-    PrefixRow {
-        label: label.to_string(),
-        cache: if cache_on { "on" } else { "off" }.into(),
-        prefix_share_pct: share_pct,
-        rps,
-        requests: result.records.len(),
-        prefix_hit_rate_pct: report.prefix_hit_rate_pct,
-        prefill_tokens_saved: report.prefill_tokens_saved,
-        mean_ttft_ms: report.mean_ttft_ms,
-        p50_ttft_ms: report.p50_ttft_ms,
-        p99_ttft_ms: report.p99_ttft_ms,
-        slo_attainment_pct: report.attainment_pct,
-        ttft_attainment_pct: report.ttft_attainment_pct,
-    }
+    row([
+        ("label", Json::Str(label.into())),
+        (
+            "cache",
+            Json::Str(if cache_on { "on" } else { "off" }.into()),
+        ),
+        ("prefix_share_pct", Json::Num(share_pct)),
+        ("rps", Json::Num(rps)),
+        ("requests", Json::Num(result.records.len() as f64)),
+        ("prefix_hit_rate_pct", Json::Num(report.prefix_hit_rate_pct)),
+        (
+            "prefill_tokens_saved",
+            Json::Num(report.prefill_tokens_saved as f64),
+        ),
+        ("mean_ttft_ms", Json::Num(report.mean_ttft_ms)),
+        ("p50_ttft_ms", Json::Num(report.p50_ttft_ms)),
+        ("p99_ttft_ms", Json::Num(report.p99_ttft_ms)),
+        ("slo_attainment_pct", Json::Num(report.attainment_pct)),
+        ("ttft_attainment_pct", Json::Num(report.ttft_attainment_pct)),
+    ])
 }
 
 /// Serves `wl` cache-off then cache-on and returns the paired rows.
-fn paired(label: &str, share_pct: f64, rps: f64, seed: u64, wl: &Workload) -> [PrefixRow; 2] {
+fn paired(label: &str, share_pct: f64, rps: f64, seed: u64, wl: &Workload) -> [Json; 2] {
     [false, true].map(|cache_on| {
         let result = adaserve_bench::serve_one(engine(seed, cache_on), wl);
-        row(label, share_pct, rps, cache_on, &result)
+        prefix_row(label, share_pct, rps, cache_on, &result)
     })
 }
 
@@ -83,12 +91,7 @@ fn main() {
         duration_ms / 1e3,
     );
 
-    let mut summary = PrefixSummary::new(
-        "fig_prefix_cache",
-        if smoke { "smoke" } else { "full" },
-        seed,
-        duration_ms,
-    );
+    let mut summary = Artifact::new(&PREFIX, "fig_prefix_cache", seed, Some(duration_ms));
     println!(
         "{:<22} {:<5} {:>7} {:>5} {:>6} {:>7} {:>10} {:>9} {:>9} {:>9} {:>7} {:>7}",
         "label",
@@ -104,23 +107,23 @@ fn main() {
         "slo%",
         "ttft%"
     );
-    let mut emit = |rows: [PrefixRow; 2]| {
+    let mut emit = |rows: [Json; 2]| {
         for r in rows {
             println!(
                 "{:<22} {:<5} {:>7.0} {:>5.1} {:>6} {:>7.1} {:>10} {:>9.1} {:>9.1} {:>9.1} \
                  {:>7.1} {:>7.1}",
-                r.label,
-                r.cache,
-                r.prefix_share_pct,
-                r.rps,
-                r.requests,
-                r.prefix_hit_rate_pct,
-                r.prefill_tokens_saved,
-                r.mean_ttft_ms,
-                r.p50_ttft_ms,
-                r.p99_ttft_ms,
-                r.slo_attainment_pct,
-                r.ttft_attainment_pct,
+                text(&r, "label"),
+                text(&r, "cache"),
+                num(&r, "prefix_share_pct"),
+                num(&r, "rps"),
+                num(&r, "requests"),
+                num(&r, "prefix_hit_rate_pct"),
+                num(&r, "prefill_tokens_saved"),
+                num(&r, "mean_ttft_ms"),
+                num(&r, "p50_ttft_ms"),
+                num(&r, "p99_ttft_ms"),
+                num(&r, "slo_attainment_pct"),
+                num(&r, "ttft_attainment_pct"),
             );
             summary.rows.push(r);
         }

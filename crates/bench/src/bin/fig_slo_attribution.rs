@@ -20,7 +20,8 @@
 //!     --trace-out trace.json
 //! ```
 
-use adaserve_bench::{AttributionRow, AttributionSummary};
+use adaserve_bench::summary::{attribution_row, ATTRIBUTION};
+use adaserve_bench::Artifact;
 use adaserve_core::AdaServeEngine;
 use cluster::{Cluster, RouterKind};
 use metrics::telemetry::{perfetto, SloAttribution, TraceEvent, Tracer};
@@ -55,12 +56,7 @@ fn main() {
         duration_ms / 1e3,
     );
 
-    let mut summary = AttributionSummary::new(
-        "fig_slo_attribution",
-        if smoke { "smoke" } else { "full" },
-        seed,
-        duration_ms,
-    );
+    let mut summary = Artifact::new(&ATTRIBUTION, "fig_slo_attribution", seed, Some(duration_ms));
     println!(
         "{:<10} {:<10} {:>6} {:>6} {:>7} {:>8} {:>6} {:>7} {:>8}  {:<10} {:>8}",
         "label",
@@ -107,26 +103,25 @@ fn main() {
         let label = format!("rps={rps:.1}");
         let overall = attr.overall();
         for tier in attr.per_tier.iter().chain(std::iter::once(&overall)) {
-            let r = AttributionRow::from_tier(&label, rps, tier);
             println!(
                 "{:<10} {:<10} {:>6} {:>6} {:>7.1} {:>8.1} {:>6.1} {:>7.1} {:>8.1}  {:<10} {:>8}",
-                r.label,
-                r.tier,
-                r.requests,
-                r.violations,
-                r.queueing_pct,
-                r.prefill_pct,
-                r.transfer_pct,
-                r.decode_pct,
-                r.preemption_pct,
-                r.dominant,
-                if r.fallback_all_requests {
+                label,
+                tier.tier,
+                tier.requests,
+                tier.violations,
+                tier.queueing_pct,
+                tier.prefill_pct,
+                tier.transfer_pct,
+                tier.decode_pct,
+                tier.preemption_pct,
+                tier.dominant,
+                if tier.fallback_all_requests {
                     "all"
                 } else {
                     "viol"
                 },
             );
-            summary.rows.push(r);
+            summary.rows.push(attribution_row(&label, rps, tier));
         }
         last_trace = events;
     }

@@ -28,7 +28,9 @@
 //!     [--quick] [--duration-s F] [--json-out BENCH_perf.json]
 //! ```
 
-use adaserve_bench::{PerfRow, PerfSummary};
+use adaserve_bench::json::Json;
+use adaserve_bench::summary::{num, row, text, PERF};
+use adaserve_bench::Artifact;
 use adaserve_core::AdaServeEngine;
 use cluster::{Cluster, RouterKind};
 use metrics::telemetry::Tracer;
@@ -83,7 +85,7 @@ where
     (kept.expect("at least one trial"), best)
 }
 
-fn row(label: &str, report: &RunReport, wall_ms: f64) -> PerfRow {
+fn perf_row(label: &str, report: &RunReport, wall_ms: f64) -> Json {
     let sim_tokens: u64 = report
         .records
         .iter()
@@ -97,34 +99,40 @@ fn row(label: &str, report: &RunReport, wall_ms: f64) -> PerfRow {
     }
     let (scheduling_share_pct, _, _, _, _) = breakdown.shares_pct();
     let wall_s = (wall_ms / 1e3).max(1e-9);
-    PerfRow {
-        label: label.to_string(),
-        wall_ms,
-        sim_ms: report.end_ms,
-        sim_tokens,
-        sim_tokens_per_sec: sim_tokens as f64 / wall_s,
-        iterations: report.iterations,
-        iterations_per_sec: report.iterations as f64 / wall_s,
-        peak_decode_batch: hotloop.peak_decode_batch,
-        scheduling_share_pct,
-        dist_cache_hit_rate_pct: hotloop.dist_cache_hit_rate_pct(),
-        trace_dropped: report.trace_dropped,
-    }
+    row([
+        ("label", Json::Str(label.into())),
+        ("wall_ms", Json::Num(wall_ms)),
+        ("sim_ms", Json::Num(report.end_ms)),
+        ("sim_tokens", Json::Num(sim_tokens as f64)),
+        ("sim_tokens_per_sec", Json::Num(sim_tokens as f64 / wall_s)),
+        ("iterations", Json::Num(report.iterations as f64)),
+        (
+            "iterations_per_sec",
+            Json::Num(report.iterations as f64 / wall_s),
+        ),
+        (
+            "peak_decode_batch",
+            Json::Num(hotloop.peak_decode_batch as f64),
+        ),
+        ("scheduling_share_pct", Json::Num(scheduling_share_pct)),
+        (
+            "dist_cache_hit_rate_pct",
+            Json::Num(hotloop.dist_cache_hit_rate_pct()),
+        ),
+        ("trace_dropped", Json::Num(report.trace_dropped as f64)),
+    ])
 }
 
 fn main() {
     adaserve_bench::check_sweep_args("perf_report");
     let seed = adaserve_bench::seed();
     let duration_ms = adaserve_bench::sweep_duration_ms(10_000.0, 60_000.0);
-    let mode = if adaserve_bench::is_smoke() {
-        "smoke"
-    } else {
-        "full"
-    };
     let exec = adaserve_bench::exec_mode();
     let config = SystemConfig::llama70b(seed);
     let baseline_ms = config.baseline_ms;
-    let rps = if mode == "smoke" { 2.0 } else { 4.0 };
+    let mut summary = Artifact::new(&PERF, "perf_report", seed, Some(duration_ms));
+    let mode = if summary.smoke { "smoke" } else { "full" };
+    let rps = if summary.smoke { 2.0 } else { 4.0 };
     let wl = WorkloadBuilder::new(seed, baseline_ms)
         .target_rps(rps)
         .duration_ms(duration_ms)
@@ -134,7 +142,6 @@ fn main() {
         "perf_report: seed={seed} duration={duration_ms}ms rps={rps} mode={mode} exec={}",
         exec.label()
     );
-    let mut summary = PerfSummary::new("perf_report", mode, seed, duration_ms);
 
     // The base colocated row and its explicit tracer=off twin are timed
     // in interleaved rounds (like the cluster pair below): the
@@ -165,12 +172,12 @@ fn main() {
         base_report.expect("trials ran"),
         off_report.expect("trials ran"),
     );
-    summary.rows.push(row(
+    summary.rows.push(perf_row(
         &format!("colocated rps={rps}"),
         &base_report,
         base_best,
     ));
-    summary.rows.push(row(
+    summary.rows.push(perf_row(
         &format!("colocated tracer=off rps={rps}"),
         &off_report,
         off_best,
@@ -185,7 +192,7 @@ fn main() {
     let (on_report, on_best) = timed_best(colocated, &wl, |d| {
         ServeSession::new(d).with_tracer(Tracer::on())
     });
-    summary.rows.push(row(
+    summary.rows.push(perf_row(
         &format!("colocated tracer=on rps={rps}"),
         &on_report,
         on_best,
@@ -223,12 +230,12 @@ fn main() {
         exec_report.expect("trials ran"),
         seq_report.expect("trials ran"),
     );
-    summary.rows.push(row(
+    summary.rows.push(perf_row(
         &format!("cluster-4x {} rps={}", exec.label(), rps * 4.0),
         &exec_report,
         exec_best,
     ));
-    summary.rows.push(row(
+    summary.rows.push(perf_row(
         &format!("cluster-4x sequential rps={}", rps * 4.0),
         &seq_report,
         seq_best,
@@ -245,13 +252,13 @@ fn main() {
     for r in &summary.rows {
         println!(
             "{:<32} {:>10.1} {:>12.0} {:>10.0} {:>8} {:>8.3} {:>8.1}",
-            r.label,
-            r.wall_ms,
-            r.sim_tokens_per_sec,
-            r.iterations_per_sec,
-            r.peak_decode_batch,
-            r.scheduling_share_pct,
-            r.dist_cache_hit_rate_pct,
+            text(r, "label"),
+            num(r, "wall_ms"),
+            num(r, "sim_tokens_per_sec"),
+            num(r, "iterations_per_sec"),
+            num(r, "peak_decode_batch"),
+            num(r, "scheduling_share_pct"),
+            num(r, "dist_cache_hit_rate_pct"),
         );
     }
 

@@ -15,11 +15,7 @@
 pub mod json;
 pub mod summary;
 
-pub use summary::{
-    AttributionRow, AttributionSummary, AutoscaleRow, AutoscaleSummary, BenchRow, BenchSummary,
-    ChaosRow, ChaosSummary, FleetRow, FleetSummary, PerfRow, PerfSummary, PrefixRow, PrefixSummary,
-    TierSummary,
-};
+pub use summary::Artifact;
 
 use adaserve_core::{AdaServeEngine, AdaServeOptions};
 use baselines::{
@@ -374,7 +370,7 @@ pub fn sweep_duration_ms(smoke_default_ms: f64, full_default_ms: f64) -> f64 {
 }
 
 /// Parses the shared `--json-out PATH` flag: where to write the run's
-/// machine-readable [`BenchSummary`] artifact, if anywhere.
+/// machine-readable [`Artifact`], if anywhere.
 pub fn parse_json_out() -> Option<std::path::PathBuf> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
