@@ -130,9 +130,9 @@ fn main() {
     let exec = adaserve_bench::exec_mode();
     let config = SystemConfig::llama70b(seed);
     let baseline_ms = config.baseline_ms;
-    let mut summary = Artifact::new(&PERF, "perf_report", seed, Some(duration_ms));
-    let mode = if summary.smoke { "smoke" } else { "full" };
-    let rps = if summary.smoke { 2.0 } else { 4.0 };
+    let smoke = adaserve_bench::is_smoke();
+    let mode = if smoke { "smoke" } else { "full" };
+    let rps = if smoke { 2.0 } else { 4.0 };
     let wl = WorkloadBuilder::new(seed, baseline_ms)
         .target_rps(rps)
         .duration_ms(duration_ms)
@@ -142,6 +142,7 @@ fn main() {
         "perf_report: seed={seed} duration={duration_ms}ms rps={rps} mode={mode} exec={}",
         exec.label()
     );
+    let mut summary = Artifact::new(&PERF, "perf_report", seed, Some(duration_ms));
 
     // The base colocated row and its explicit tracer=off twin are timed
     // in interleaved rounds (like the cluster pair below): the

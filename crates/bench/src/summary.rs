@@ -37,7 +37,7 @@ pub const SCHEMA_VERSION: u32 = 2;
 
 /// The type of one row field.
 #[derive(Debug, Clone, Copy)]
-pub enum Field {
+enum Field {
     /// A finite number.
     Num,
     /// A non-empty string.
@@ -56,20 +56,20 @@ use Field::{Bool, Num, OneOf, Rows, Str};
 #[derive(Debug)]
 pub struct Kind {
     /// The `kind` tag; `None` for the SLO sweep, which predates tags.
-    pub tag: Option<&'static str>,
+    tag: Option<&'static str>,
     /// Whether the envelope carries `duration_ms` (simulated ms per row).
-    pub duration_ms: bool,
+    duration_ms: bool,
     /// The required row fields.
-    pub fields: &'static [(&'static str, Field)],
+    fields: &'static [(&'static str, Field)],
     /// The semantic gate over a schema-valid artifact's rows; returns
     /// every violation found.
-    pub gate: fn(&[Json]) -> Vec<String>,
+    gate: fn(&[Json]) -> Vec<String>,
 }
 
 impl Kind {
     /// The kind a document declares; untagged (or unknown) documents are
     /// SLO sweeps.
-    pub fn of(doc: &Json) -> &'static Kind {
+    fn of(doc: &Json) -> &'static Kind {
         let tag = doc.get("kind").and_then(Json::as_str);
         KINDS
             .into_iter()
@@ -261,23 +261,24 @@ const ENVELOPE: [(&str, Field); 5] = [
 /// A benchmark artifact: the envelope plus one JSON object per row.
 #[derive(Debug, Clone)]
 pub struct Artifact {
-    /// The artifact's kind.
-    pub kind: &'static Kind,
+    kind: &'static Kind,
     /// Emitting binary, e.g. `"fig_cluster_scaling"`.
-    pub name: String,
+    name: String,
     /// Emitted as `mode: "smoke"` (CI-sized) when set, else `"full"`.
-    pub smoke: bool,
+    smoke: bool,
     /// The experiment seed the run used (`ADASERVE_SEED`-overridable).
-    pub seed: u64,
+    seed: u64,
     /// Simulated duration per row, ms; `Some` exactly for kinds whose
     /// envelope carries it.
-    pub duration_ms: Option<f64>,
+    duration_ms: Option<f64>,
     /// One object per row, with the kind's fields.
     pub rows: Vec<Json>,
 }
 
 impl Artifact {
-    /// An empty artifact whose mode follows [`crate::is_smoke`].
+    /// An empty artifact whose mode follows [`crate::is_smoke`];
+    /// `duration_ms` is the simulated duration per row, `Some` exactly
+    /// for kinds whose envelope carries it.
     pub fn new(
         kind: &'static Kind,
         name: impl Into<String>,
@@ -411,8 +412,15 @@ pub fn attribution_row(
     ])
 }
 
+/// Applies the semantic gate of a schema-valid document's kind; returns
+/// every violation found.
+pub fn gate(doc: &Json) -> Vec<String> {
+    let rows = doc.get("rows").and_then(Json::as_arr).unwrap_or_default();
+    (Kind::of(doc).gate)(rows)
+}
+
 /// Validates a parsed document against its kind's envelope and row
-/// fields (see [`Kind::of`]); schema versions other than
+/// fields (an untagged document is an SLO sweep); schema versions other than
 /// [`SCHEMA_VERSION`] are rejected.
 ///
 /// Returns every violation found (not just the first), so a CI failure
@@ -503,7 +511,7 @@ fn check_fields(errors: &mut Vec<String>, obj: &Json, path: &str, fields: &[(&st
 /// gate exists to catch — the executor falling back to per-step thread
 /// spawning — measured ~0.92. A 0.95 floor separates the two without
 /// flaking on jitter.
-pub const SPEEDUP_FLOOR: f64 = 0.95;
+const SPEEDUP_FLOOR: f64 = 0.95;
 
 /// Fleet gate: every 4-replica row measured under a sharded executor
 /// must report `speedup >= SPEEDUP_FLOOR`. An artifact with no sharded
@@ -530,13 +538,13 @@ fn fleet_gate(rows: &[Json]) -> Vec<String> {
 /// hit rates well above this on every row; the gate exists to catch the
 /// cache silently never matching (hash drift, pin leak evicting
 /// everything), which reads as ~0%, not as a modest dip.
-pub const HIT_RATE_FLOOR_PCT: f64 = 10.0;
+const HIT_RATE_FLOOR_PCT: f64 = 10.0;
 
 /// Tolerated p50 TTFT ratio (on / off) before a cache-on row counts as a
 /// regression. Skipped prefill only removes work, so the cache must not
 /// make the median first token slower; 1.05 absorbs scheduling noise at
 /// smoke durations.
-pub const TTFT_NOISE_FACTOR: f64 = 1.05;
+const TTFT_NOISE_FACTOR: f64 = 1.05;
 
 /// Prefix gate: every cache-on row over shared-prefix traffic must hit
 /// at least [`HIT_RATE_FLOOR_PCT`], and no cache-on row may have a p50
@@ -573,7 +581,7 @@ fn prefix_gate(rows: &[Json]) -> Vec<String> {
 /// (percentage points). Each request's shares sum to exactly 100 and the
 /// pooled mean preserves that; anything past rounding noise means the
 /// decomposition dropped or double-counted a phase.
-pub const SHARE_SUM_TOLERANCE_PCT: f64 = 0.5;
+const SHARE_SUM_TOLERANCE_PCT: f64 = 0.5;
 
 /// Attribution gate: every row with requests must report phase shares
 /// summing to ~100%.
@@ -607,7 +615,7 @@ fn attribution_gate(rows: &[Json]) -> Vec<String> {
 /// tracer is one branch per iteration — so the pair must land within
 /// timer noise; a real regression (the tracer doing work while disabled)
 /// reads far past 2%.
-pub const TRACER_OVERHEAD_FACTOR: f64 = 1.02;
+const TRACER_OVERHEAD_FACTOR: f64 = 1.02;
 
 /// Perf gate: the colocated row labelled `tracer=off` may not be slower
 /// than the base colocated row (no `tracer=` in its label) beyond
@@ -635,7 +643,7 @@ fn tracer_gate(rows: &[Json]) -> Vec<String> {
 /// thirds of the run, which measures 0.67–0.83× static across smoke and
 /// full sweeps; 0.95 fails any controller that stopped draining while
 /// staying clear of rounding noise on short smoke runs.
-pub const REPLICA_HOURS_CEILING_FACTOR: f64 = 0.95;
+const REPLICA_HOURS_CEILING_FACTOR: f64 = 0.95;
 
 /// Tolerated joint-attainment drop (percentage points) from an
 /// autoscaled row's steady window to its flash-crowd window. The burst
@@ -646,7 +654,7 @@ pub const REPLICA_HOURS_CEILING_FACTOR: f64 = 0.95;
 /// wipeout (attainment near zero against a healthy steady state) fails.
 /// A controller that never reacts at all is caught by the join/peak
 /// check instead, since it depresses both windows alike.
-pub const BURST_DROP_TOLERANCE_PTS: f64 = 50.0;
+const BURST_DROP_TOLERANCE_PTS: f64 = 50.0;
 
 /// Autoscale gate. The row labelled `static-max` is the provisioning
 /// reference; every other row is an autoscaled run, which must have
