@@ -127,12 +127,15 @@ fn main() {
     adaserve_bench::check_sweep_args("perf_report");
     let seed = adaserve_bench::seed();
     let duration_ms = adaserve_bench::sweep_duration_ms(10_000.0, 60_000.0);
+    let mode = if adaserve_bench::is_smoke() {
+        "smoke"
+    } else {
+        "full"
+    };
     let exec = adaserve_bench::exec_mode();
     let config = SystemConfig::llama70b(seed);
     let baseline_ms = config.baseline_ms;
-    let smoke = adaserve_bench::is_smoke();
-    let mode = if smoke { "smoke" } else { "full" };
-    let rps = if smoke { 2.0 } else { 4.0 };
+    let rps = if mode == "smoke" { 2.0 } else { 4.0 };
     let wl = WorkloadBuilder::new(seed, baseline_ms)
         .target_rps(rps)
         .duration_ms(duration_ms)
